@@ -253,10 +253,10 @@ BENCHMARK(BM_SpscRingBurst)->Arg(64)->Arg(4096);
 // ---- Batched vs per-element join dispatch (join_base.h ProcessBatch) ----
 //
 // The same generated element sequence through one PJoin, fed either one
-// OnElement at a time or as a single columnar ElementBatch with
-// pre-computed key hashes — the two shard dispatch modes of
-// ops/parallel_pipeline.h (options.batched_probe). The batch path's win is
-// hashing each key once and flushing hot counters per batch.
+// OnElement at a time (the path of JoinPipeline and other single-threaded
+// callers) or as a single columnar ElementBatch with pre-computed key
+// hashes (the shard workers' path in ops/parallel_pipeline.h). The batch
+// path's win is hashing each key once and flushing hot counters per batch.
 
 struct DispatchFixture {
   GeneratedStreams streams;

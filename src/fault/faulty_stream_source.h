@@ -18,11 +18,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
-#include "stream/stream_buffer.h"
+#include "stream/element.h"
 
 namespace pjoin {
 

@@ -17,7 +17,6 @@
 #include "gen/domain.h"
 #include "gen/punct_scheme.h"
 #include "stream/element.h"
-#include "stream/stream_buffer.h"
 #include "tuple/schema.h"
 
 namespace pjoin {

@@ -341,16 +341,9 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
         shard->stats.elements += static_cast<int64_t>(n);
         shard->stats.tuples += batch.tuple_count;
         join->set_element_ingress_micros(batch.ingress_us);
-        Status st;
-        if (options_.batched_probe) {
-          st = join->ProcessBatch(ElementBatch{batch.elements.data(),
-                                              batch.sides.data(),
-                                              batch.key_hashes.data(), n});
-        } else {
-          for (size_t i = 0; i < n && st.ok(); ++i) {
-            st = join->OnElement(batch.sides[i], *batch.elements[i]);
-          }
-        }
+        const Status st = join->ProcessBatch(
+            ElementBatch{batch.elements.data(), batch.sides.data(),
+                         batch.key_hashes.data(), n});
         if (!st.ok()) {
           shard->status = st;
           // Keep draining (and discarding) so the router never wedges on

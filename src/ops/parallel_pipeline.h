@@ -58,9 +58,9 @@
 // dispatch edge.
 //
 // Correctness oracle: for any input, the emitted result multiset equals the
-// single-threaded reference (tests/parallel_pipeline_test.cc asserts this
-// per seed, for both the batched and the element dispatch path;
-// bench/par_scaling.cc re-checks it for every benchmarked configuration).
+// single-threaded OnElement reference (tests/parallel_pipeline_test.cc
+// asserts this per seed and shard count; bench/par_scaling.cc re-checks it
+// for every benchmarked configuration).
 
 #ifndef PJOIN_OPS_PARALLEL_PIPELINE_H_
 #define PJOIN_OPS_PARALLEL_PIPELINE_H_
@@ -107,11 +107,6 @@ struct ParallelPipelineOptions {
   /// A dry shard reports a stall to its join (disk join / reactive stage)
   /// after this many consecutive empty polls, then parks until data/close.
   int64_t stall_polls = 4;
-  /// Dispatch whole batches through JoinOperator::ProcessBatch (hash reuse
-  /// + amortized bookkeeping). False replays the per-element OnElement
-  /// path — same results, used by the equivalence tests and the
-  /// parallel_x*_scan bench baseline's cost model.
-  bool batched_probe = true;
   /// Capacity of each shard→merger output ring in OutBatches; a shard
   /// parks on a full ring until the merger drains it. Small values make
   /// sink backpressure (and therefore stall diagnosis) bite sooner.

@@ -82,6 +82,10 @@ class RecoveringSpillStore : public SpillStore {
   [[nodiscard]] RecoveryStats recovery_stats() const EXCLUDES(mu_);
 
  private:
+  // Negative-compile probe for the thread-safety CI job; see
+  // tests/thread_safety_negative.cc.
+  friend class ThreadSafetyNegativeProbe;
+
   SpillStore* ActiveLocked() REQUIRES(mu_) {
     return degraded_ ? fallback_.get() : primary_.get();
   }

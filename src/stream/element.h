@@ -1,10 +1,12 @@
 // StreamElement: one item of a punctuated stream — a tuple, a punctuation,
-// or the end-of-stream marker — with its arrival timestamp.
+// or the end-of-stream marker — with its arrival timestamp. StreamSource is
+// the pull-style producer of such elements.
 
 #ifndef PJOIN_STREAM_ELEMENT_H_
 #define PJOIN_STREAM_ELEMENT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -48,6 +50,14 @@ class StreamElement {
   std::variant<std::monostate, Tuple, Punctuation> payload_;
   TimeMicros arrival_ = 0;
   int64_t seq_ = 0;
+};
+
+/// Pull-style element source (generators implement this).
+class StreamSource {
+ public:
+  virtual ~StreamSource() = default;
+  /// Produces the next element, or nullopt when the stream ends.
+  virtual std::optional<StreamElement> Next() = 0;
 };
 
 }  // namespace pjoin

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "gen/stream_generator.h"
+#include "join/nlj.h"
 #include "join/pjoin.h"
 #include "join/shj.h"
 #include "join/xjoin.h"
@@ -18,6 +19,8 @@
 namespace pjoin {
 namespace {
 
+using testing::KeyPayloadSchema;
+using testing::KP;
 using testing::ReferenceJoinRows;
 using testing::RunJoin;
 
@@ -210,6 +213,34 @@ TEST(EquivalenceTest, HeavySpillTinyMemory) {
   auto run = RunJoin(&join, g.a, g.b, /*stall_gap=*/6000);
   EXPECT_EQ(run.results,
             ReferenceJoinRows(g.a, g.b, join.output_schema(), 0, 0));
+}
+
+TEST(NestedLoopReferenceTest, MatchesTestUtilReference) {
+  DomainSpec d;
+  StreamSpec spec;
+  spec.num_tuples = 300;
+  spec.punct_mean_interarrival_tuples = 10;
+  GeneratedStreams g = GenerateStreams(d, spec, spec, 9);
+  NestedLoopReferenceJoin nlj(g.schema_a, g.schema_b);
+  auto run = RunJoin(&nlj, g.a, g.b);
+  EXPECT_EQ(run.results,
+            ReferenceJoinRows(g.a, g.b, nlj.output_schema(), 0, 0));
+}
+
+TEST(NestedLoopReferenceTest, EmitsOnlyAtFinish) {
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  NestedLoopReferenceJoin nlj(sa, sb);
+  int64_t results = 0;
+  nlj.set_result_callback([&results](const Tuple&) { ++results; });
+  ASSERT_TRUE(nlj.OnElement(0, StreamElement::MakeTuple(KP(sa, 1, 1), 1))
+                  .ok());
+  ASSERT_TRUE(nlj.OnElement(1, StreamElement::MakeTuple(KP(sb, 1, 2), 2))
+                  .ok());
+  EXPECT_EQ(results, 0);  // blocking: nothing until both EOS
+  ASSERT_TRUE(nlj.OnElement(0, StreamElement::MakeEndOfStream(3)).ok());
+  ASSERT_TRUE(nlj.OnElement(1, StreamElement::MakeEndOfStream(3)).ok());
+  EXPECT_EQ(results, 1);
 }
 
 }  // namespace

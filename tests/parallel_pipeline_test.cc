@@ -6,8 +6,10 @@
 #include "ops/parallel_pipeline.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,33 +183,6 @@ TEST_P(ParallelEquivalenceTest, ScanAndIndexedProbeAgree) {
   EXPECT_EQ(with_index.results, with_scan.results);
 }
 
-TEST_P(ParallelEquivalenceTest, BatchedAndElementDispatchAgree) {
-  // ProcessBatch (columnar dispatch with pre-hashed keys) against the
-  // per-element OnElement replay: same shards, same streams, the result
-  // multiset and the released punctuations must be identical.
-  const Operator op = GetParam();
-  Workload w = MakeWorkload("dispatch-mode", /*seed=*/77, /*punct_rate=*/12.0,
-                            /*zipf_s=*/0.8);
-  const JoinOptions jopts = SmallStateOptions();
-  for (const int shards : {1, 4}) {
-    ParallelPipelineOptions batched;
-    batched.num_shards = shards;
-    batched.batched_probe = true;
-    ParallelPipelineOptions element;
-    element.num_shards = shards;
-    element.batched_probe = false;
-    const RunResult via_batch =
-        RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
-                    w.streams.a, w.streams.b, batched);
-    const RunResult via_element =
-        RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
-                    w.streams.a, w.streams.b, element);
-    EXPECT_EQ(via_batch.results, via_element.results) << "shards=" << shards;
-    EXPECT_EQ(SortedPunctStrings(via_batch), SortedPunctStrings(via_element))
-        << "shards=" << shards;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Operators, ParallelEquivalenceTest,
                          ::testing::Values(Operator::kPJoin, Operator::kXJoin),
                          [](const ::testing::TestParamInfo<Operator>& info) {
@@ -378,6 +353,50 @@ TEST(ParallelPJoinTest, StatsDispatchErrorSurfacesWhenShardsSucceed) {
       popts);
   const Status st = pipeline.Run(left, right);
   EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+}
+
+/// A PJoin that sleeps on every tuple, so its shard drains the routed ring
+/// far slower than the router fills it.
+class SlowPJoin : public PJoin {
+ public:
+  using PJoin::PJoin;
+
+ protected:
+  Status OnTupleHashed(int side, const Tuple& tuple,
+                       uint64_t key_hash) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    return PJoin::OnTupleHashed(side, tuple, key_hash);
+  }
+};
+
+// With tiny rings on every edge and slow shards, the router must repeatedly
+// find a shard ring full and fall back to drain-and-yield (backpressure),
+// and the merged result must still be exact.
+TEST(ParallelPJoinTest, TinyRingsApplyBackpressure) {
+  Workload w = MakeWorkload("backpressure", /*seed=*/7, /*punct_rate=*/12.0,
+                            /*zipf_s=*/0.0);
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  popts.batch_size = 4;
+  popts.input_buffer_capacity = 8;
+  popts.shard_queue_capacity = 8;
+  popts.out_ring_batches = 1;
+  ParallelJoinPipeline pipeline(
+      [&](int) {
+        return std::make_unique<SlowPJoin>(w.streams.schema_a,
+                                           w.streams.schema_b,
+                                           SmallStateOptions());
+      },
+      popts);
+  std::vector<std::string> rows;
+  pipeline.set_result_callback(
+      [&rows](const Tuple& t) { rows.push_back(t.ToString()); });
+  ASSERT_TRUE(pipeline.Run(w.streams.a, w.streams.b).ok());
+  EXPECT_GT(pipeline.router_backpressure_waits(), 0);
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, ReferenceJoinRows(w.streams.a, w.streams.b,
+                                    pipeline.shard_join(0)->output_schema(),
+                                    0, 0));
 }
 
 TEST(ParallelPJoinTest, SingleShardMatchesMergedCountersOfReference) {

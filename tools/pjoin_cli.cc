@@ -10,6 +10,10 @@
 //             [--out OUT.stream] [--stats]
 //             [--serve-port PORT] [--serve-linger-ms MS]
 //
+// --threads runs the join on a ParallelJoinPipeline with default options:
+// one --algo join per shard, results and punctuations merged on the main
+// thread; --stats then reports the merged counters of all shards.
+//
 // --serve-port starts the live introspection HTTP server (0 = ephemeral;
 // the bound port is printed to stderr) exposing /metrics, /statusz and
 // /tracez while the join runs; --serve-linger-ms keeps the process (and
@@ -42,8 +46,8 @@
 #include "join/pjoin.h"
 #include "join/shj.h"
 #include "join/xjoin.h"
+#include "ops/parallel_pipeline.h"
 #include "ops/pipeline.h"
-#include "ops/threaded_pipeline.h"
 
 using namespace pjoin;
 
@@ -113,28 +117,19 @@ int main(int argc, char** argv) {
       args.GetInt("propagate-count", 0);
 
   const std::string algo = args.Get("algo", "pjoin");
-  std::unique_ptr<JoinOperator> join;
-  if (algo == "pjoin") {
-    join = std::make_unique<PJoin>(*left_schema, *right_schema, options);
-  } else if (algo == "xjoin") {
-    join = std::make_unique<XJoin>(*left_schema, *right_schema, options);
-  } else if (algo == "shj") {
-    join = std::make_unique<SymmetricHashJoin>(*left_schema, *right_schema,
-                                               options);
-  } else {
+  if (algo != "pjoin" && algo != "xjoin" && algo != "shj") {
     return Fail("unknown --algo '" + algo + "' (pjoin|xjoin|shj)");
   }
-
-  // Collect output as stream elements so it can be written back out.
-  std::vector<StreamElement> output;
-  int64_t seq = 0;
-  join->set_result_callback([&](const Tuple& t) {
-    output.push_back(StreamElement::MakeTuple(t, join->last_arrival(), seq++));
-  });
-  join->set_punct_callback([&](const Punctuation& p) {
-    output.push_back(
-        StreamElement::MakePunctuation(p, join->last_arrival(), seq++));
-  });
+  const auto make_join = [&]() -> std::unique_ptr<JoinOperator> {
+    if (algo == "pjoin") {
+      return std::make_unique<PJoin>(*left_schema, *right_schema, options);
+    }
+    if (algo == "xjoin") {
+      return std::make_unique<XJoin>(*left_schema, *right_schema, options);
+    }
+    return std::make_unique<SymmetricHashJoin>(*left_schema, *right_schema,
+                                               options);
+  };
 
   std::unique_ptr<obs::IntrospectionServer> server;
   if (args.Has("serve-port")) {
@@ -146,11 +141,34 @@ int main(int argc, char** argv) {
                  server->port());
   }
 
+  // Collect output as stream elements so it can be written back out. The
+  // serial join stamps each element with the arrival that triggered it; the
+  // sharded run has no single join clock, so its output carries arrival 0.
+  std::vector<StreamElement> output;
+  int64_t seq = 0;
+  std::unique_ptr<JoinOperator> join;
+  std::unique_ptr<ParallelJoinPipeline> sharded;
   Status status;
   if (args.Has("threads")) {
-    ThreadedJoinPipeline pipeline(join.get());
-    status = pipeline.Run(*left, *right);
+    sharded = std::make_unique<ParallelJoinPipeline>(
+        [&](int) { return make_join(); });
+    sharded->set_result_callback([&](const Tuple& t) {
+      output.push_back(StreamElement::MakeTuple(t, 0, seq++));
+    });
+    sharded->set_punct_callback([&](const Punctuation& p) {
+      output.push_back(StreamElement::MakePunctuation(p, 0, seq++));
+    });
+    status = sharded->Run(*left, *right);
   } else {
+    join = make_join();
+    join->set_result_callback([&](const Tuple& t) {
+      output.push_back(
+          StreamElement::MakeTuple(t, join->last_arrival(), seq++));
+    });
+    join->set_punct_callback([&](const Punctuation& p) {
+      output.push_back(
+          StreamElement::MakePunctuation(p, join->last_arrival(), seq++));
+    });
     PipelineOptions popts;
     popts.stall_gap_micros = 8000;
     JoinPipeline pipeline(join.get(), nullptr, popts);
@@ -166,17 +184,38 @@ int main(int argc, char** argv) {
   }
 
   if (args.Has("stats")) {
+    // With --threads every figure is the pipeline's merge of its shards.
+    int64_t results = 0;
+    int64_t puncts = 0;
+    int64_t state = 0;
+    CounterSet counters;
+    SchemaPtr output_schema;
+    if (sharded != nullptr) {
+      results = sharded->results_emitted();
+      puncts = sharded->puncts_emitted();
+      for (const ShardStats& s : sharded->shard_stats()) {
+        state += s.state_tuples;
+      }
+      counters = sharded->MergedCounters();
+      output_schema = sharded->shard_join(0)->output_schema();
+    } else {
+      results = join->results_emitted();
+      puncts = join->puncts_emitted();
+      state = join->total_state_tuples();
+      counters = join->counters();
+      output_schema = join->output_schema();
+    }
     std::fprintf(stderr, "algo:            %s\n", algo.c_str());
     std::fprintf(stderr, "output schema:   %s\n",
-                 FormatSchemaSpec(*join->output_schema()).c_str());
+                 FormatSchemaSpec(*output_schema).c_str());
     std::fprintf(stderr, "results:         %lld\n",
-                 static_cast<long long>(join->results_emitted()));
+                 static_cast<long long>(results));
     std::fprintf(stderr, "puncts out:      %lld\n",
-                 static_cast<long long>(join->puncts_emitted()));
+                 static_cast<long long>(puncts));
     std::fprintf(stderr, "state at end:    %lld tuples\n",
-                 static_cast<long long>(join->total_state_tuples()));
+                 static_cast<long long>(state));
     std::fprintf(stderr, "counters:        %s\n",
-                 join->counters().ToString().c_str());
+                 counters.ToString().c_str());
   }
 
   if (server != nullptr) {
