@@ -49,21 +49,6 @@
 //   --serve_linger_ms  after the sweep, keep re-running the widest parallel
 //                    configuration for this long so scrapers catch a live
 //                    pipeline; GET /quitquitquit ends the linger early.
-//   --zipf=S   skew stream A of the MAIN sweep (zipf exponent over the open
-//              window; B stays uniform). The CI forced-skew smoke uses this
-//              with --repartition so migration/hot-key metrics move.
-//   --repartition    enable runtime repartitioning (adaptive shard map) on
-//              the main sweep's parallel runs.
-//   --force_migrate=N  with --repartition: force a migration attempt every
-//              N routed tuples (test hook; guarantees pjoin_migrations_total
-//              moves even on small smoke workloads).
-//   --skew_sweep=0   disable the zipf skew sweep (adaptive vs static
-//              parallel pipeline at --skew_list exponents, "skew_sweep" in
-//              the JSON; the CI skew-gate consumes it).
-//   --skew_list=a,b,c  zipf exponents swept (default 0,0.8,1.2,1.6).
-//   --skew_tuples=N --skew_window=N  skew-sweep workload shape: stream A
-//              draws keys zipf-skewed from a window of N open keys, so the
-//              top key's share is ~1/H(window, s) (~44% at s=1.6 for 4096).
 
 #include <chrono>
 #include <cstdio>
@@ -120,19 +105,6 @@ struct Cli {
   int64_t ring = 0;
   bool punct_barrier = false;
   int64_t stall_polls = 0;  // 0 = ParallelPipelineOptions default
-  // Main-sweep skew + repartitioning (the CI forced-skew smoke): stream A
-  // zipf exponent, adaptive shard map on the parallel runs, forced
-  // migration cadence (0 = only policy-triggered decisions).
-  double zipf = 0.0;
-  bool repartition = false;
-  int64_t force_migrate = 0;
-  // Skew sweep: adaptive vs static parallel pipeline at a ladder of zipf
-  // exponents, A-side skewed / B uniform ("skew_sweep" in the JSON; the
-  // perf gate's skew leg compares the static/adaptive ratio per exponent).
-  bool skew_sweep = true;
-  std::vector<double> skew_list = {0.0, 0.8, 1.2, 1.6};
-  int64_t skew_tuples = 24000;
-  int64_t skew_window = 4096;
   std::string out = "BENCH_par_scaling.json";
   std::string trace;    // empty = tracing not started
   std::string metrics;  // empty = no metrics dump
@@ -176,25 +148,6 @@ Cli ParseCli(int argc, char** argv) {
       cli.punct_barrier = true;
     } else if (const char* v = value("--stall_polls=")) {
       cli.stall_polls = std::atoll(v);
-    } else if (const char* v = value("--zipf=")) {
-      cli.zipf = std::atof(v);
-    } else if (arg == "--repartition") {
-      cli.repartition = true;
-    } else if (const char* v = value("--force_migrate=")) {
-      cli.force_migrate = std::atoll(v);
-    } else if (const char* v = value("--skew_sweep=")) {
-      cli.skew_sweep = std::atoi(v) != 0;
-    } else if (const char* v = value("--skew_tuples=")) {
-      cli.skew_tuples = std::atoll(v);
-    } else if (const char* v = value("--skew_window=")) {
-      cli.skew_window = std::atoll(v);
-    } else if (const char* v = value("--skew_list=")) {
-      cli.skew_list.clear();
-      std::stringstream ss(v);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        cli.skew_list.push_back(std::atof(tok.c_str()));
-      }
     } else if (const char* v = value("--out=")) {
       cli.out = v;
     } else if (const char* v = value("--trace=")) {
@@ -264,10 +217,6 @@ struct Measured {
   Oracle oracle;
   int64_t state_tuples = 0;
   std::vector<ShardStats> shard_stats;
-  // Repartitioning activity (0 unless the run had an adaptive shard map).
-  int64_t migrations = 0;
-  int64_t hot_keys = 0;
-  int64_t rollbacks = 0;
 
   double throughput() const {
     return wall_ms > 0 ? static_cast<double>(oracle.count) / (wall_ms / 1e3)
@@ -301,8 +250,7 @@ Measured RunSingle(const std::string& name, const GeneratedStreams& streams,
 Measured RunParallel(const GeneratedStreams& streams, int shards,
                      bool indexed_probe, int64_t memcap = 0,
                      int64_t ring_capacity = 0, bool punct_barrier = false,
-                     int64_t stall_polls = 0,
-                     const RepartitionPolicy& repart = {}) {
+                     int64_t stall_polls = 0) {
   Measured m;
   m.name = "parallel_x" + std::to_string(shards) +
            (memcap > 0 ? "_spill" : (indexed_probe ? "_indexed" : "_scan"));
@@ -316,7 +264,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
   }
   popts.punct_barrier = punct_barrier;
   if (stall_polls > 0) popts.stall_polls = stall_polls;
-  popts.repartition = repart;
   ParallelJoinPipeline pipeline(
       [&streams, indexed_probe, memcap, shards](int) {
         // The cap is per shard: split the total budget so the aggregate
@@ -336,9 +283,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
       1e3;
   m.shard_stats = pipeline.shard_stats();
   for (const ShardStats& s : m.shard_stats) m.state_tuples += s.state_tuples;
-  m.migrations = pipeline.migrations_completed();
-  m.hot_keys = pipeline.hot_keys_active();
-  m.rollbacks = pipeline.migration_rollbacks();
   return m;
 }
 
@@ -402,128 +346,6 @@ void RunStalledConfig(const Cli& cli) {
                   1e3,
               static_cast<long long>(results));
   std::fflush(stdout);
-}
-
-// ---- Skew sweep: adaptive vs static shard map at a zipf ladder ----
-
-/// Fraction of the run's results produced by the busiest shard (0.25 =
-/// perfectly balanced at x4). This — not wall time — is the gated skew
-/// metric: it is what repartitioning actually controls, it is
-/// deterministic for a seeded workload, and it is meaningful on any host
-/// (wall time only rewards balance when shards own physical cores, which
-/// a 1-core CI box never grants).
-double BottleneckShare(const Measured& m) {
-  int64_t max_results = 0;
-  int64_t total = 0;
-  for (const ShardStats& s : m.shard_stats) {
-    max_results = std::max(max_results, s.results);
-    total += s.results;
-  }
-  return total > 0 ? static_cast<double>(max_results) /
-                         static_cast<double>(total)
-                   : 0.0;
-}
-
-struct SkewPoint {
-  double zipf_s = 0.0;
-  Measured static_run;
-  Measured adaptive_run;
-  bool oracle_pass = false;  // both runs match the 1-thread reference
-
-  /// Informational wall ratio (>1 = adaptive faster); noisy on shared
-  /// hosts, so the CI gate reads the bottleneck shares instead.
-  double StaticOverAdaptive() const {
-    return adaptive_run.wall_ms > 0
-               ? static_run.wall_ms / adaptive_run.wall_ms
-               : 0.0;
-  }
-};
-
-/// One zipf exponent: stream A skewed, B uniform (the celebrity-key shape —
-/// skewing both sides would explode the result count quadratically), run
-/// static and adaptive at the widest shard count, best-of-reps interleaved.
-SkewPoint RunSkewPoint(const Cli& cli, double zipf_s, int shards) {
-  DomainSpec domain;
-  domain.window_size = cli.skew_window;
-  StreamSpec spec_a;
-  spec_a.num_tuples = cli.skew_tuples;
-  // The domain frontier (and with it the identity of the hottest key)
-  // advances only on punctuation, so the punctuation cadence sets how fast
-  // hotness drifts. A handful of reigns per run is the regime runtime
-  // repartitioning targets; sub-window reigns degenerate into noise no
-  // placement can exploit.
-  spec_a.punct_mean_interarrival_tuples =
-      static_cast<double>(cli.skew_tuples) / 4.0;
-  spec_a.zipf_s = zipf_s;
-  spec_a.flush_punctuations_at_end = true;
-  StreamSpec spec_b = spec_a;
-  spec_b.zipf_s = 0.0;
-  const GeneratedStreams streams =
-      GenerateStreams(domain, spec_a, spec_b, 2004);
-
-  SkewPoint point;
-  point.zipf_s = zipf_s;
-  const Measured reference = RunSingle("skew_ref", streams, true);
-
-  // Bounded shard queues (identical for both runs): a handoff command
-  // travels FIFO behind each shard's backlog, so the router's lead over
-  // the shards is the floor on handoff latency. Offline replay with
-  // unbounded queues lets the router finish routing before the first
-  // handoff lands, which would measure nothing.
-  const int64_t ring_capacity = 16;
-
-  RepartitionPolicy adaptive;
-  adaptive.enabled = true;
-  // Slightly below the library default (1.25): the sweep's hot key drifts
-  // at reign boundaries, and the diluted boundary windows sit around
-  // 1.2x. Everything else: library defaults.
-  adaptive.imbalance_trigger = 1.15;
-  for (int rep = 0; rep < cli.reps; ++rep) {
-    Measured s = RunParallel(streams, shards, /*indexed_probe=*/true,
-                             /*memcap=*/0, ring_capacity);
-    Measured a = RunParallel(streams, shards, /*indexed_probe=*/true,
-                             /*memcap=*/0, ring_capacity,
-                             /*punct_barrier=*/false, /*stall_polls=*/0,
-                             adaptive);
-    if (rep == 0 || s.wall_ms < point.static_run.wall_ms) {
-      point.static_run = std::move(s);
-    }
-    if (rep == 0 || a.wall_ms < point.adaptive_run.wall_ms) {
-      point.adaptive_run = std::move(a);
-    }
-  }
-  point.static_run.name = "skew_static";
-  point.adaptive_run.name = "skew_adaptive";
-  point.oracle_pass = point.static_run.oracle == reference.oracle &&
-                      point.adaptive_run.oracle == reference.oracle;
-  return point;
-}
-
-void WriteSkewSweepJson(std::ofstream& out, const Cli& cli, int shards,
-                        const std::vector<SkewPoint>& points) {
-  out << "  \"skew_sweep\": {\n";
-  out << "    \"config\": {\"tuples_per_stream\": " << cli.skew_tuples
-      << ", \"window\": " << cli.skew_window << ", \"shards\": " << shards
-      << ", \"punct_mean_interarrival_tuples\": " << cli.punct_rate
-      << ", \"reps\": " << cli.reps << "},\n";
-  out << "    \"points\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SkewPoint& p = points[i];
-    out << "      {\"zipf_s\": " << p.zipf_s
-        << ", \"static_wall_ms\": " << p.static_run.wall_ms
-        << ", \"adaptive_wall_ms\": " << p.adaptive_run.wall_ms
-        << ", \"static_over_adaptive\": " << p.StaticOverAdaptive()
-        << ", \"static_bottleneck_share\": "
-        << BottleneckShare(p.static_run)
-        << ", \"adaptive_bottleneck_share\": "
-        << BottleneckShare(p.adaptive_run)
-        << ", \"oracle_pass\": " << (p.oracle_pass ? "true" : "false")
-        << ", \"migrations\": " << p.adaptive_run.migrations
-        << ", \"hot_keys\": " << p.adaptive_run.hot_keys
-        << ", \"rollbacks\": " << p.adaptive_run.rollbacks << "}"
-        << (i + 1 == points.size() ? "" : ",") << "\n";
-  }
-  out << "    ]\n  },\n";
 }
 
 // ---- Spill sweep: adaptive SpillManager vs the paper's global threshold ----
@@ -622,8 +444,7 @@ void WriteJson(const std::string& path, const Cli& cli,
                const Measured& baseline, const Measured& indexed,
                const std::vector<Measured>& parallel,
                const Oracle& spill_oracle,
-               const std::vector<SpillMeasured>& spill_runs, int skew_shards,
-               const std::vector<SkewPoint>& skew_points) {
+               const std::vector<SpillMeasured>& spill_runs) {
   std::ofstream out(path);
   out << "{\n";
   out << "  \"bench\": \"par_scaling\",\n";
@@ -632,9 +453,6 @@ void WriteJson(const std::string& path, const Cli& cli,
       << ", \"num_partitions\": 16, \"reps\": " << cli.reps << "},\n";
   if (!spill_runs.empty()) {
     WriteSpillSweepJson(out, cli, spill_oracle, spill_runs);
-  }
-  if (!skew_points.empty()) {
-    WriteSkewSweepJson(out, cli, skew_shards, skew_points);
   }
   auto emit_run = [&out](const Measured& m, const Measured& base,
                          bool last) {
@@ -683,15 +501,7 @@ int Main(int argc, char** argv) {
   spec.num_tuples = cli.tuples;
   spec.punct_mean_interarrival_tuples = cli.punct_rate;
   spec.flush_punctuations_at_end = true;
-  StreamSpec spec_a = spec;
-  spec_a.zipf_s = cli.zipf;  // forced-skew smoke: A skewed, B uniform
-  const GeneratedStreams streams = GenerateStreams(domain, spec_a, spec, 2004);
-
-  // Adaptive shard map for the main sweep's parallel runs (the forced-skew
-  // smoke turns this on so the migration/hot-key metrics move live).
-  RepartitionPolicy main_repart;
-  main_repart.enabled = cli.repartition;
-  main_repart.force_migration_interval = cli.force_migrate;
+  const GeneratedStreams streams = GenerateStreams(domain, spec, spec, 2004);
 
   if (!cli.trace.empty()) {
     obs::Tracer::Global().Start();
@@ -750,7 +560,7 @@ int Main(int argc, char** argv) {
                                          /*indexed_probe=*/true,
                                          /*memcap=*/0, cli.ring,
                                          cli.punct_barrier,
-                                         cli.stall_polls, main_repart); });
+                                         cli.stall_polls); });
   }
   if (!cli.shards.empty()) {
     // The widest shard count with the seed's scan probe: isolates how much
@@ -758,7 +568,7 @@ int Main(int argc, char** argv) {
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/false,
                          /*memcap=*/0, cli.ring, cli.punct_barrier,
-                         cli.stall_polls, main_repart);
+                         cli.stall_polls);
     });
   }
   if (cli.memcap > 0 && !cli.shards.empty()) {
@@ -804,33 +614,6 @@ int Main(int argc, char** argv) {
     report(m);
   }
 
-  // Skew sweep: adaptive vs static shard map across the zipf ladder. At
-  // high skew the adaptive map must win (hot-key replication spreads the
-  // celebrity key's probe work); at zero skew it must cost nothing.
-  std::vector<SkewPoint> skew_points;
-  const int skew_shards = cli.shards.empty() ? 4 : cli.shards.back();
-  if (cli.skew_sweep && skew_shards > 1) {
-    std::printf("  skew sweep (%lld tuples/stream, window %lld, x%d):\n",
-                static_cast<long long>(cli.skew_tuples),
-                static_cast<long long>(cli.skew_window), skew_shards);
-    std::printf("  %-8s %10s %11s %7s %9s %9s %5s %4s %7s\n", "zipf_s",
-                "static_ms", "adaptive_ms", "ratio", "st_share", "ad_share",
-                "migr", "hot", "oracle");
-    for (const double s : cli.skew_list) {
-      SkewPoint point = RunSkewPoint(cli, s, skew_shards);
-      all_pass = all_pass && point.oracle_pass;
-      std::printf("  %-8.2f %10.1f %11.1f %6.2fx %9.3f %9.3f %5lld %4lld %7s\n",
-                  point.zipf_s, point.static_run.wall_ms,
-                  point.adaptive_run.wall_ms, point.StaticOverAdaptive(),
-                  BottleneckShare(point.static_run),
-                  BottleneckShare(point.adaptive_run),
-                  static_cast<long long>(point.adaptive_run.migrations),
-                  static_cast<long long>(point.adaptive_run.hot_keys),
-                  point.oracle_pass ? "PASS" : "FAIL");
-      skew_points.push_back(std::move(point));
-    }
-  }
-
   if (!spill_runs.empty()) {
     std::printf("  spill sweep (zipf %.2f, %lld tuples/stream):\n",
                 cli.spill_zipf, static_cast<long long>(cli.spill_tuples));
@@ -849,7 +632,7 @@ int Main(int argc, char** argv) {
   }
 
   WriteJson(cli.out, cli, baseline, indexed, parallel, spill_oracle,
-            spill_runs, skew_shards, skew_points);
+            spill_runs);
   std::printf("  wrote %s\n", cli.out.c_str());
 
   if (server != nullptr && cli.serve_linger_ms > 0) {

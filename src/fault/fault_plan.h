@@ -108,36 +108,15 @@ struct StreamFaultSpec {
   std::string ToString() const;
 };
 
-/// Faults injected into the parallel pipeline's key-migration handoff
-/// (ops/repartition.h). Rolled on the router thread from the plan's seed,
-/// so a chaos run replays bit-identically; the pipeline answers every
-/// injected failure with a clean rollback (source keeps / regains the
-/// key's state, the shard map stays unchanged).
-struct MigrationFaultSpec {
-  /// Probability that a handoff's source-side state extraction fails.
-  double extract_error_rate = 0.0;
-  /// Probability that a migration's destination-side install fails; the
-  /// payload travels back and is re-installed at the source.
-  double install_error_rate = 0.0;
-
-  bool enabled() const {
-    return extract_error_rate > 0 || install_error_rate > 0;
-  }
-
-  std::string ToString() const;
-};
-
 /// One complete chaos configuration: a seed plus per-side stream faults and
 /// the I/O faults of the spill stores.
 struct FaultPlan {
   uint64_t seed = 1;
   StreamFaultSpec stream[2];
   IoFaultSpec io;
-  MigrationFaultSpec migration;
 
   bool enabled() const {
-    return stream[0].enabled() || stream[1].enabled() || io.enabled() ||
-           migration.enabled();
+    return stream[0].enabled() || stream[1].enabled() || io.enabled();
   }
 
   std::string ToString() const;

@@ -148,55 +148,6 @@ Punctuation JoinOperator::MakeOutputPunct(int side,
   return Punctuation(std::move(patterns));
 }
 
-Result<KeyStateHandoff> JoinOperator::ExtractKeyState(const Value& key,
-                                                      bool copy) {
-  KeyStateHandoff handoff;
-  handoff.key = key;
-  handoff.key_hash = key.Hash();
-  // Eligibility first, mutation second (all-or-nothing): the key's
-  // partitions must be fully memory-resident on BOTH sides — a
-  // disk-resident or purge-buffered slice cannot be carved out of its
-  // duplicate-avoidance history, and an unindexed disk portion may hide
-  // more tuples of the key.
-  for (int side = 0; side < 2; ++side) {
-    const HashState& st = *states_[side];
-    const int p = st.PartitionOfHash(handoff.key_hash);
-    if (st.disk_tuples(p) > 0 || !st.purge_buffer(p).empty() ||
-        st.has_unindexed_disk()) {
-      return Status::FailedPrecondition(
-          "key state not memory-resident; handoff refused: " +
-          st.name());
-    }
-  }
-  for (int side = 0; side < 2; ++side) {
-    HashState& st = *states_[side];
-    const int p = st.PartitionOfHash(handoff.key_hash);
-    if (copy) {
-      st.ForEachMemoryMatch(p, key, handoff.key_hash,
-                            [&](const TupleEntry& e) {
-                              handoff.entries[side].push_back(e);
-                            });
-    } else {
-      handoff.entries[side] = st.ExtractMemoryMatching(
-          p, [&](const TupleEntry& e) { return st.KeyOf(e.tuple) == key; });
-    }
-  }
-  return handoff;
-}
-
-Status JoinOperator::InstallKeyState(KeyStateHandoff handoff) {
-  for (int side = 0; side < 2; ++side) {
-    for (TupleEntry& e : handoff.entries[side]) {
-      e.ats = NextTick();
-      e.dts = kAliveDts;
-      e.pid = kNullPid;
-      e.key_hash = handoff.key_hash;
-      states_[side]->InsertMemory(std::move(e));
-    }
-  }
-  return Status::OK();
-}
-
 Status JoinOperator::OnTupleHashed(int side, const Tuple& tuple,
                                    uint64_t key_hash) {
   (void)key_hash;

@@ -9,10 +9,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/metrics.h"
-#include "common/result.h"
 #include "exec/monitor.h"
 #include "join/hash_state.h"
 #include "obs/metrics_registry.h"
@@ -118,24 +116,6 @@ struct ElementBatch {
   size_t size = 0;
 };
 
-/// One key's in-memory join state, extracted from (or copied out of) an
-/// operator — the payload of the parallel pipeline's migration /
-/// replication handoff (ops/repartition.h). Ticks and punctuation links
-/// are source-relative and deliberately not carried: only memory-resident,
-/// punctuation-free state is eligible (ExtractKeyState refuses anything
-/// else), and such entries re-insert cleanly under the destination's tick
-/// stream.
-struct KeyStateHandoff {
-  Value key;
-  uint64_t key_hash = 0;
-  /// Memory entries per input side.
-  std::vector<TupleEntry> entries[2];
-
-  int64_t tuple_count() const {
-    return static_cast<int64_t>(entries[0].size() + entries[1].size());
-  }
-};
-
 class JoinOperator {
  public:
   using ResultCallback = std::function<void(const Tuple&)>;
@@ -175,33 +155,6 @@ class JoinOperator {
   /// Hook for the driver when both inputs are stalled (network lull): XJoin
   /// runs its reactive stage, PJoin its disk join. Default: no-op.
   virtual Status OnStreamsStalled();
-
-  /// Lifts an input-side punctuation onto the output schema: the side's
-  /// patterns carry over, everything else is a wildcard, and the equi-join
-  /// predicate transfers the key pattern to the other side's key position.
-  /// Deterministic, so the parallel pipeline's router can predict the exact
-  /// output punctuation a shard will release (release-board dispatch
-  /// accounting under dynamic ownership).
-  Punctuation MakeOutputPunct(int side, const Punctuation& punct) const;
-
-  // ---- Key-state handoff (runtime repartitioning) ----
-
-  /// Removes (copy = false, migration) or copies (copy = true, hot-key
-  /// replication) every in-memory tuple of `key` from both sides' states.
-  /// Refuses with FailedPrecondition — leaving the operator untouched —
-  /// when the key's state is not cleanly movable: a partition holding it
-  /// has disk-resident or purge-buffered tuples, the disk portion is
-  /// unindexed, or (PJoin) a punctuation already covers the key, so moving
-  /// its entries would desynchronize match counts and could release a
-  /// punctuation while covered state lives elsewhere. The caller answers a
-  /// refusal by keeping the key where it is.
-  virtual Result<KeyStateHandoff> ExtractKeyState(const Value& key,
-                                                  bool copy);
-  /// Installs a handoff's entries into this operator's states under fresh
-  /// ticks. Install never probes: every result pair among the entries was
-  /// already emitted at the source, and pairs with future tuples arise from
-  /// future probes.
-  virtual Status InstallKeyState(KeyStateHandoff handoff);
 
   // ---- Introspection ----
   CounterSet& counters() { return counters_; }
@@ -263,6 +216,14 @@ class JoinOperator {
  protected:
   /// Shard this operator reports frontier progress as (-1 = unbound).
   int frontier_shard() const { return frontier_shard_; }
+
+  /// Lifts an input-side punctuation onto the output schema: the side's
+  /// patterns carry over, everything else is a wildcard, and the equi-join
+  /// predicate transfers the key pattern to the other side's key position,
+  /// so a constant key pattern lands at both key positions of the output
+  /// (which is how the parallel pipeline's release board recognizes a
+  /// punctuation routed to one shard).
+  Punctuation MakeOutputPunct(int side, const Punctuation& punct) const;
 
   // ---- Subclass interface ----
   virtual Status OnTuple(int side, const Tuple& tuple) = 0;

@@ -516,49 +516,6 @@ Status PJoin::RunPropagation() {
   return Status::OK();
 }
 
-Result<KeyStateHandoff> PJoin::ExtractKeyState(const Value& key, bool copy) {
-  // A punctuation covering the key on either side means its entries are
-  // woven into the propagation machinery: the covered side's entries are
-  // (or will be) pinned by match counts, and the covering punctuation's
-  // release depends on them draining HERE. Such a key is closed or closing
-  // anyway — refuse and let the router keep it where it is.
-  for (int side = 0; side < 2; ++side) {
-    if (punct_sets_[side]->SetMatchKey(key)) {
-      return Status::FailedPrecondition(
-          "key covered by a punctuation; handoff refused");
-    }
-  }
-  Result<KeyStateHandoff> result = JoinOperator::ExtractKeyState(key, copy);
-  if (!result.ok()) return result;
-  KeyStateHandoff handoff = std::move(result).value();
-  // The key-level check cannot see payload-constrained punctuations (a
-  // constant key plus constant payload pattern indexes specific tuples
-  // without covering the key). If any extracted entry carries a pid, put
-  // everything back — pids intact, so the match counts stay exact — and
-  // refuse.
-  bool pinned = false;
-  for (int side = 0; side < 2 && !pinned; ++side) {
-    for (const TupleEntry& e : handoff.entries[side]) {
-      if (e.pid != kNullPid) {
-        pinned = true;
-        break;
-      }
-    }
-  }
-  if (pinned) {
-    if (!copy) {
-      for (int side = 0; side < 2; ++side) {
-        for (TupleEntry& e : handoff.entries[side]) {
-          mutable_state(side).InsertMemory(std::move(e));
-        }
-      }
-    }
-    return Status::FailedPrecondition(
-        "key state pinned by an indexed punctuation; handoff refused");
-  }
-  return handoff;
-}
-
 void PJoin::DiscardEntry(int side, const TupleEntry& entry) {
   PunctuationIndexer::OnEntryDiscarded(punct_sets_[side].get(), entry);
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "obs/introspection.h"
@@ -22,13 +20,14 @@ size_t RingBatches(size_t capacity_elements, size_t batch_size) {
   return batches < 2 ? 2 : batches;
 }
 
-// Per-thread CPU time for the PJOIN_PAR_DEBUG breakdown: on few-core hosts
-// wall-clock spans include preemption, so only the CPU clock attributes cost
-// to the thread that actually spent it.
-int64_t ThreadCpuMicros() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return ts.tv_sec * 1000000 + ts.tv_nsec / 1000;
+// The one placement function: the shard owning a key is a pure function of
+// the key's hash. Tuple routing and constant-key punctuation routing both
+// call it, so they cannot disagree about a key's owner. The hash is mixed
+// before the modulo because its low bits already select the partition
+// inside a shard's HashState.
+int ShardOf(uint64_t key_hash, int num_shards) {
+  const uint64_t mixed = (key_hash * 0x9e3779b97f4a7c15ull) >> 32;
+  return static_cast<int>(mixed % static_cast<uint64_t>(num_shards));
 }
 
 }  // namespace
@@ -108,18 +107,6 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
       joins_[0]->state(0).schema()->num_fields() +
           joins_[0]->state(1).key_index(),
       options_.num_shards);
-  // Key placement lives in one map consulted by tuple AND punctuation
-  // routing; the repartition controller mutates it through handoffs.
-  shard_map_.Reset(options_.num_shards);
-  repart_enabled_ = options_.repartition.enabled && options_.num_shards > 1;
-  if (repart_enabled_) {
-    controller_ = std::make_unique<RepartitionController>(
-        options_.repartition, &shard_map_);
-    const FaultPlan* plan = options_.repartition.fault_plan;
-    if (plan != nullptr && plan->migration.enabled()) {
-      repart_injector_ = std::make_unique<FaultInjector>(plan->seed);
-    }
-  }
 }
 
 ParallelJoinPipeline::~ParallelJoinPipeline() = default;
@@ -181,45 +168,18 @@ void ParallelJoinPipeline::MergeOutBatch(OutBatch out) {
   if (released || !out.releases.empty()) {
     punct_pending_gauge_.Set(release_board_.pending_rounds());
   }
-  if (out.handoff != nullptr) HandleHandoffOut(std::move(*out.handoff));
 }
 
 size_t ParallelJoinPipeline::DrainOutputs() {
   size_t merged = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
+  for (auto& shard : shards_) {
     OutBatch out;
-    while (shards_[i]->out.TryPop(&out)) {
-      if (repart_enabled_) {
-        merged_results_[i] += static_cast<int64_t>(out.results.size());
-      }
+    while (shard->out.TryPop(&out)) {
       MergeOutBatch(std::move(out));
       ++merged;
     }
   }
   return merged;
-}
-
-int ParallelJoinPipeline::SprayTarget(uint64_t key_hash) {
-  // Greedy least-output spray: send the sprayed tuple to the shard that
-  // has merged the least join output so far. Result production — not
-  // tuple count — is the work a hot key concentrates, and a blind
-  // round-robin feeds a quarter of the hot key's output to the shard
-  // that is already the bottleneck. The merger runs on this thread, so
-  // the counts are fresh to within one drain. Until output differentiates
-  // the shards, fall back to the key's round-robin cursor.
-  int best = 0;
-  bool all_equal = true;
-  for (int s = 1; s < num_shards(); ++s) {
-    const size_t i = static_cast<size_t>(s);
-    if (merged_results_[i] != merged_results_[static_cast<size_t>(best)]) {
-      all_equal = false;
-    }
-    if (merged_results_[i] < merged_results_[static_cast<size_t>(best)]) {
-      best = s;
-    }
-  }
-  if (all_equal) return shard_map_.NextSprayShard(key_hash);
-  return best;
 }
 
 void ParallelJoinPipeline::Stage(int shard, int8_t side,
@@ -291,9 +251,6 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
   RoutedBatch batch;
   int64_t dry = 0;
   bool failed = false;
-  int64_t busy_us = 0;
-  Stopwatch batch_timer;
-  const bool debug = std::getenv("PJOIN_PAR_DEBUG") != nullptr;
   while (true) {
     if (!shard->queue.TryPop(&batch)) {
       if (shard->queue.exhausted()) break;
@@ -324,17 +281,11 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
       continue;
     }
     dry = 0;
-    if (batch.command != nullptr) {
-      ExecuteCommand(shard, *batch.command);
-      batch.command.reset();
-      continue;
-    }
     const size_t n = batch.elements.size();
     if (batch.flow_id != 0) {
       TRACE_FLOW_STEP("flow", "tuple_path", batch.flow_id);
       shard->pending_flow_id = batch.flow_id;
     }
-    batch_timer.Restart();
     {
       TRACE_SPAN("par", "shard_batch");
       if (!failed) {
@@ -353,7 +304,6 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
       }
       shard->processed.fetch_add(static_cast<int64_t>(n));
     }
-    busy_us += batch_timer.ElapsedMicros();
     // Once-per-batch live publication: backlog, ring occupancies, and the
     // join's state gauges (the worker owns the join, so the HashState reads
     // are safe).
@@ -373,13 +323,6 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
   workers_done_.fetch_add(1);
   out_activity_.fetch_add(1);
   out_activity_.notify_all();
-  if (debug) {
-    std::fprintf(stderr,
-                 "[par debug] shard=%d busy=%lldms cpu=%lldms stalls=%lld\n",
-                 shard->id, (long long)(busy_us / 1000),
-                 (long long)(ThreadCpuMicros() / 1000),
-                 (long long)shard->stats.stalls);
-  }
 }
 
 void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
@@ -402,59 +345,17 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
         fid = static_cast<uint64_t>(routed_tuples_);
         TRACE_FLOW_START("flow", "tuple_path", fid);
       }
-      if (!repart_enabled_) {
-        Stage(shard_map_.OwnerOf(h), static_cast<int8_t>(side), e, h,
-              route_now_us_, fid);
-        break;
-      }
-      if (fence_active_ && h == active_handoff_->key_hash) {
-        // The fenced key's stream pauses at the router while its state is
-        // in flight; everything else keeps flowing.
-        deferred_.emplace_back(static_cast<int8_t>(side), e);
-        break;
-      }
-      if (shard_map_.IsReplicated(h)) {
-        // Hot key: the sprayed side round-robins (each tuple probes the
-        // build side's full local replica), the build side broadcasts
-        // (each tuple probes the local spray-state and refreshes every
-        // replica). Every result pair meets at exactly one shard.
-        if (side == shard_map_.SpraySideOf(h)) {
-          const int s = SprayTarget(h);
-          Stage(s, static_cast<int8_t>(side), e, h, route_now_us_, fid);
-          controller_->ObserveTuple(e->tuple().field(key_index_[side]), h,
-                                    side, s);
-        } else {
-          for (int s = 0; s < num_shards(); ++s) {
-            Stage(s, static_cast<int8_t>(side), e, h, route_now_us_, fid);
-          }
-          controller_->ObserveTuple(e->tuple().field(key_index_[side]), h,
-                                    side, shard_map_.OwnerOf(h));
-        }
-        break;
-      }
-      const int s = shard_map_.OwnerOf(h);
-      Stage(s, static_cast<int8_t>(side), e, h, route_now_us_, fid);
-      controller_->ObserveTuple(e->tuple().field(key_index_[side]), h, side,
-                                s);
+      Stage(ShardOf(h, num_shards()), static_cast<int8_t>(side), e, h,
+            route_now_us_, fid);
       break;
     }
     case ElementKind::kPunctuation: {
-      if (fence_active_) {
-        // Any punctuation may interact with the in-flight key (a range can
-        // cover it; even a constant-key one races the ownership flip), and
-        // a punctuation only ever covers PAST tuples — parking it with the
-        // fence delays its release without ever violating §3.3.
-        deferred_.emplace_back(static_cast<int8_t>(side), e);
-        break;
-      }
-      // A constant-key punctuation concerns exactly the shards that can
-      // hold the key's state: the owning shard under the current map, or
-      // every shard once the key is hot-replicated. Non-constant patterns
-      // (range flush markers, wildcards) can cover keys of every shard and
-      // broadcast. Either way the fan-out is recorded on the release board
-      // at dispatch time — under runtime repartitioning the board's static
-      // pattern inference can no longer reconstruct it. Staged order keeps
-      // the punctuation behind every tuple dispatched before it, per shard.
+      // A constant-key punctuation concerns exactly the shard that can
+      // hold the key's state: its owner. Non-constant patterns (range
+      // flush markers, wildcards) can cover keys of every shard and
+      // broadcast. The release board infers the same fan-out from the
+      // pattern. Staged order keeps the punctuation behind every tuple
+      // dispatched before it, per shard.
       const Pattern& key_pattern = e->punctuation().pattern(key_index_[side]);
       // Frontier accounting (obs/progress.h): every dispatch is an ingress
       // for the (side, scheme, shard) cell; the shard's join answers with
@@ -462,33 +363,17 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       const std::string_view scheme = PatternKindName(key_pattern.kind());
       const std::string punct_desc = e->punctuation().ToString();
       obs::FrontierTracker& frontier = obs::FrontierTracker::Global();
-      int fanout = num_shards();
       if (key_pattern.IsConstant()) {
-        const uint64_t h = key_pattern.constant().Hash();
-        if (repart_enabled_ && shard_map_.IsReplicated(h)) {
-          for (int s = 0; s < num_shards(); ++s) {
-            Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0,
-                  route_now_us_);
-            frontier.NoteIngress(side, scheme, s, route_now_us_, punct_desc);
-          }
-        } else {
-          const int owner = shard_map_.OwnerOf(h);
-          Stage(owner, static_cast<int8_t>(side), e,
-                /*key_hash=*/0, route_now_us_);
-          frontier.NoteIngress(side, scheme, owner, route_now_us_,
-                               punct_desc);
-          fanout = 1;
-        }
+        const int owner = ShardOf(key_pattern.constant().Hash(), num_shards());
+        Stage(owner, static_cast<int8_t>(side), e, /*key_hash=*/0,
+              route_now_us_);
+        frontier.NoteIngress(side, scheme, owner, route_now_us_, punct_desc);
       } else {
         for (int s = 0; s < num_shards(); ++s) {
           Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0,
                 route_now_us_);
           frontier.NoteIngress(side, scheme, s, route_now_us_, punct_desc);
         }
-      }
-      if (repart_enabled_) {
-        release_board_.NoteDispatch(
-            joins_[0]->MakeOutputPunct(side, e->punctuation()), fanout);
       }
       if (options_.punct_barrier) {
         for (int s = 0; s < num_shards(); ++s) FlushStaged(s);
@@ -497,235 +382,11 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       break;
     }
     case ElementKind::kEndOfStream: {
-      if (fence_active_) {
-        // EOS must stay behind every parked element, and parking it keeps
-        // the router loop alive until the fence resolves.
-        deferred_.emplace_back(static_cast<int8_t>(side), e);
-        break;
-      }
       for (int s = 0; s < num_shards(); ++s) {
         Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0, route_now_us_);
       }
-      eos_routed_[side] = true;
       break;
     }
-  }
-}
-
-void ParallelJoinPipeline::StartHandoff(const RepartitionDecision& decision) {
-  PJOIN_DCHECK(!fence_active_);
-  handoffs_started_.fetch_add(1);
-  fence_active_ = true;
-  if (std::getenv("PJOIN_PAR_DEBUG") != nullptr) {
-    std::fprintf(stderr, "[repart] handoff start kind=%s from=%d to=%d\n",
-                 decision.kind == RepartitionDecision::Kind::kReplicate
-                     ? "replicate"
-                     : "migrate",
-                 decision.from, decision.to);
-  }
-  auto handoff = std::make_unique<ActiveHandoff>();
-  handoff->id = ++next_handoff_id_;
-  handoff->key = decision.key;
-  handoff->key_hash = decision.key_hash;
-  handoff->from = decision.from;
-  handoff->to = decision.to;
-  handoff->replicate =
-      decision.kind == RepartitionDecision::Kind::kReplicate;
-  handoff->spray_side = decision.spray_side;
-  RepartCommand cmd;
-  cmd.kind = RepartCommand::Kind::kExtract;
-  cmd.key = decision.key;
-  cmd.key_hash = decision.key_hash;
-  cmd.copy = handoff->replicate;
-  cmd.handoff_id = handoff->id;
-  if (repart_injector_ != nullptr) {
-    cmd.inject_failure = repart_injector_->Roll(
-        options_.repartition.fault_plan->migration.extract_error_rate);
-    if (cmd.inject_failure) repart_injector_->Count("migration_extract");
-  }
-  const int source = handoff->from;
-  active_handoff_ = std::move(handoff);
-  PushCommand(source, std::move(cmd));
-}
-
-void ParallelJoinPipeline::PushCommand(int shard, RepartCommand cmd) {
-  // FIFO fencing: everything staged for this shard precedes the command,
-  // so the source has processed every pre-fence element of the key before
-  // it extracts, and the destination before it installs.
-  FlushStaged(shard);
-  RoutedBatch batch;
-  batch.ingress_us = route_now_us_;
-  batch.command = std::make_unique<RepartCommand>(std::move(cmd));
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  if (s.queue.TryPush(std::move(batch))) return;
-  // Same backpressure discipline as FlushStaged: the router never parks.
-  router_backpressure_waits_.fetch_add(1);
-  backpressure_counter_.Add(1);
-  while (true) {
-    const size_t merged = DrainOutputs();
-    if (s.queue.TryPush(std::move(batch))) return;
-    if (merged == 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    } else {
-      std::this_thread::yield();
-    }
-  }
-}
-
-void ParallelJoinPipeline::ExecuteCommand(Shard* shard, RepartCommand& cmd) {
-  TRACE_SPAN("par", "repart_command");
-  auto answer = std::make_unique<HandoffOut>();
-  answer->handoff_id = cmd.handoff_id;
-  if (cmd.kind == RepartCommand::Kind::kExtract) {
-    if (cmd.inject_failure) {
-      answer->status = Status::IOError("injected migration extract fault");
-    } else {
-      Result<KeyStateHandoff> extracted =
-          shard->join->ExtractKeyState(cmd.key, cmd.copy);
-      if (extracted.ok()) {
-        answer->payload = std::move(extracted).value();
-      } else {
-        answer->status = extracted.status();
-      }
-    }
-  } else {
-    answer->install_ack = true;
-    if (cmd.inject_failure) {
-      answer->status = Status::IOError("injected migration install fault");
-      // The state travels back so the router can restore it at the source.
-      answer->payload = std::move(cmd.payload);
-    } else {
-      answer->status = shard->join->InstallKeyState(std::move(cmd.payload));
-    }
-  }
-  // The router is fenced on this answer: flush anything staged first (the
-  // answer must not overtake results recorded before the command), then
-  // ship it in its own batch.
-  FlushShardOut(shard, /*force=*/true);
-  OutBatch out;
-  out.handoff = std::move(answer);
-  shard->out.PushBlocking(std::move(out));
-  out_activity_.fetch_add(1);
-  out_activity_.notify_all();
-}
-
-void ParallelJoinPipeline::HandleHandoffOut(HandoffOut out) {
-  ActiveHandoff* handoff = active_handoff_.get();
-  PJOIN_DCHECK(handoff != nullptr && handoff->id == out.handoff_id);
-  if (handoff == nullptr || handoff->id != out.handoff_id) return;
-  if (!out.install_ack) {
-    // The source's extract answer.
-    if (!out.status.ok()) {
-      // Refused (ineligible state) or injected failure: nothing moved —
-      // abandon the handoff, keep the key where it is.
-      migration_rollbacks_.fetch_add(1);
-      rollbacks_counter_.Add(1);
-      controller_->OnHandoffRejected(handoff->key_hash);
-      fence_done_ = true;
-      return;
-    }
-    handoff->payload = std::move(out.payload);
-    handoff->phase = ActiveHandoff::Phase::kInstall;
-    send_installs_ = true;
-    return;
-  }
-  if (handoff->phase == ActiveHandoff::Phase::kRollback) {
-    // The source re-accepted the payload; the failed handoff is fully
-    // unwound (the map never changed).
-    migration_rollbacks_.fetch_add(1);
-    rollbacks_counter_.Add(1);
-    controller_->OnHandoffRejected(handoff->key_hash);
-    fence_done_ = true;
-    return;
-  }
-  if (!out.status.ok()) {
-    // Install failed mid-handoff: the payload travelled back — restore it
-    // at the source before unfencing.
-    handoff->payload = std::move(out.payload);
-    handoff->phase = ActiveHandoff::Phase::kRollback;
-    send_rollback_ = true;
-    return;
-  }
-  if (--handoff->pending_installs > 0) return;
-  // All installs landed: flip the map, then let PumpRepartition unfence
-  // and replay the parked elements under the new placement.
-  if (handoff->replicate) {
-    shard_map_.MarkReplicated(handoff->key_hash, handoff->spray_side);
-    hot_keys_gauge_.Set(shard_map_.replicated_keys());
-  } else {
-    shard_map_.SetOwner(handoff->key_hash, handoff->to);
-    migrations_completed_.fetch_add(1);
-    migrations_counter_.Add(1);
-    controller_->OnMigrationCompleted();
-  }
-  fence_done_ = true;
-}
-
-void ParallelJoinPipeline::PumpRepartition() {
-  if (!repart_enabled_) return;
-  if (send_installs_) {
-    send_installs_ = false;
-    ActiveHandoff* handoff = active_handoff_.get();
-    if (handoff->replicate) {
-      handoff->pending_installs = num_shards() - 1;
-      // Exactly-once across the replica set: only the BUILD (broadcast)
-      // side's state is installed at the other shards. The spray side's
-      // pre-handoff tuples stay at the owner alone — a post-handoff build
-      // tuple broadcasts to every shard and must find each spray tuple at
-      // exactly one of them.
-      handoff->payload.entries[handoff->spray_side].clear();
-      for (int s = 0; s < num_shards(); ++s) {
-        if (s == handoff->from) continue;
-        RepartCommand cmd;
-        cmd.kind = RepartCommand::Kind::kInstall;
-        cmd.key = handoff->key;
-        cmd.key_hash = handoff->key_hash;
-        cmd.handoff_id = handoff->id;
-        cmd.payload = handoff->payload;  // one copy per destination
-        PushCommand(s, std::move(cmd));
-      }
-    } else {
-      handoff->pending_installs = 1;
-      RepartCommand cmd;
-      cmd.kind = RepartCommand::Kind::kInstall;
-      cmd.key = handoff->key;
-      cmd.key_hash = handoff->key_hash;
-      cmd.handoff_id = handoff->id;
-      cmd.payload = std::move(handoff->payload);
-      if (repart_injector_ != nullptr) {
-        cmd.inject_failure = repart_injector_->Roll(
-            options_.repartition.fault_plan->migration.install_error_rate);
-        if (cmd.inject_failure) repart_injector_->Count("migration_install");
-      }
-      PushCommand(handoff->to, std::move(cmd));
-    }
-  }
-  if (send_rollback_) {
-    send_rollback_ = false;
-    ActiveHandoff* handoff = active_handoff_.get();
-    handoff->pending_installs = 1;
-    RepartCommand cmd;
-    cmd.kind = RepartCommand::Kind::kInstall;
-    cmd.key = handoff->key;
-    cmd.key_hash = handoff->key_hash;
-    cmd.handoff_id = handoff->id;
-    cmd.payload = std::move(handoff->payload);
-    PushCommand(handoff->from, std::move(cmd));
-  }
-  if (fence_done_) {
-    fence_done_ = false;
-    fence_active_ = false;
-    active_handoff_.reset();
-    if (std::getenv("PJOIN_PAR_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[repart] unfence deferred=%zu\n",
-                   deferred_.size());
-    }
-    // Replay everything the fence parked, in arrival order, under the
-    // updated map. A replay cannot start a new fence (decisions are made
-    // only in the router main loop), so this does not recurse.
-    std::vector<std::pair<int8_t, const StreamElement*>> parked;
-    parked.swap(deferred_);
-    for (const auto& [side, e] : parked) RouteElement(side, e);
   }
 }
 
@@ -736,10 +397,8 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
   SpscRing<InputSpan>* in[2] = {in_left, in_right};
   InputSpan span[2];
   size_t pos[2] = {0, 0};
-  // A side's EOS is consumed from the input when the router takes it off
-  // the span, and routed once it is actually broadcast — the two diverge
-  // while a fence holds the EOS parked.
-  bool eos_consumed[2] = {false, false};
+  // A side's EOS is routed (broadcast) as soon as the router consumes it.
+  bool eos[2] = {false, false};
   key_index_[0] = joins_[0]->state(0).key_index();
   key_index_[1] = joins_[0]->state(1).key_index();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -765,13 +424,13 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
     return span[side].data + pos[side];
   };
 
-  while (!(eos_routed_[0] && eos_routed_[1])) {
-    const StreamElement* h0 = eos_consumed[0] ? nullptr : head(0);
-    const StreamElement* h1 = eos_consumed[1] ? nullptr : head(1);
+  while (!(eos[0] && eos[1])) {
+    const StreamElement* h0 = eos[0] ? nullptr : head(0);
+    const StreamElement* h1 = eos[1] ? nullptr : head(1);
     // Merge in global arrival order: only consume a side when the other has
     // a head to compare against or can never produce an earlier element.
-    const bool done0 = eos_consumed[0] || in[0]->exhausted();
-    const bool done1 = eos_consumed[1] || in[1]->exhausted();
+    const bool done0 = eos[0] || in[0]->exhausted();
+    const bool done1 = eos[1] || in[1]->exhausted();
     int side = -1;
     if (h0 != nullptr && (h1 != nullptr
                               ? h0->arrival() <= h1->arrival()
@@ -783,11 +442,8 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
       side = 1;
     }
     if (side < 0) {
-      // Nothing dispatchable: both inputs dry, or only a parked EOS left.
-      // Keep the merge and the handoff state machine moving — a pending
-      // fence resolves through exactly these two calls.
+      // Nothing dispatchable: both inputs dry. Keep the merge moving.
       DrainOutputs();
-      PumpRepartition();
       std::this_thread::yield();
       continue;
     }
@@ -797,28 +453,15 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
       route_now_us_ = obs::TraceNowMicros();
       now_refresh = 63;
     }
-    if (e->kind() == ElementKind::kEndOfStream) eos_consumed[side] = true;
+    if (e->kind() == ElementKind::kEndOfStream) eos[side] = true;
     RouteElement(side, e);
-    if (repart_enabled_) {
-      if (!fence_active_ && controller_->ShouldCheck()) {
-        const RepartitionDecision decision = controller_->Decide();
-        imbalance_gauge_.Set(
-            static_cast<int64_t>(controller_->last_imbalance() * 1000.0));
-        if (decision.kind != RepartitionDecision::Kind::kNone) {
-          StartHandoff(decision);
-        }
-      }
-      PumpRepartition();
-    }
     if (++since_drain >= static_cast<int64_t>(options_.batch_size)) {
       since_drain = 0;
       DrainOutputs();
-      PumpRepartition();
       in_occupancy[0].Set(static_cast<int64_t>(in[0]->size()));
       in_occupancy[1].Set(static_cast<int64_t>(in[1]->size()));
     }
   }
-  PJOIN_DCHECK(!fence_active_ && deferred_.empty());
   for (int s = 0; s < num_shards(); ++s) {
     FlushStaged(s);
     shards_[static_cast<size_t>(s)]->queue.Close();
@@ -835,19 +478,8 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   backpressure_counter_ = registry.GetCounter("pjoin_router_backpressure_waits",
                                               "pipeline=parallel");
-  migrations_counter_ =
-      registry.GetCounter("pjoin_migrations_total", "pipeline=parallel");
-  rollbacks_counter_ = registry.GetCounter("pjoin_migration_rollbacks_total",
-                                           "pipeline=parallel");
-  hot_keys_gauge_ =
-      registry.GetGauge("pjoin_hot_keys_active", "pipeline=parallel");
-  imbalance_gauge_ = registry.GetGauge("pjoin_shard_imbalance_permille",
-                                       "pipeline=parallel");
   punct_pending_gauge_ =
       registry.GetGauge("pjoin_punct_pending_rounds", "pipeline=parallel");
-  eos_routed_[0] = false;
-  eos_routed_[1] = false;
-  merged_results_.assign(static_cast<size_t>(num_shards()), 0);
   // Wire per-shard output staging: results queue up locally; a punctuation
   // release is recorded behind them, and FlushShardOut moves both into the
   // shard's output ring with that order intact — so by the time the merger
@@ -933,9 +565,7 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
     workers.emplace_back(&ParallelJoinPipeline::ShardLoop, this, shard.get());
   }
 
-  Stopwatch phase_timer;
   RouterLoop(&in_left, &in_right);
-  const TimeMicros router_us = phase_timer.ElapsedMicros();
 
   // Keep merging while the workers finish their tails (a worker could
   // otherwise park forever on a full output ring) — parked on the activity
@@ -952,15 +582,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   producer_r.join();
   for (std::thread& w : workers) w.join();
   DrainOutputs();
-  const TimeMicros total_us = phase_timer.ElapsedMicros();
-  if (std::getenv("PJOIN_PAR_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "[par debug] router=%lldms drain_workers=%lldms "
-                 "caller_cpu=%lldms\n",
-                 (long long)(router_us / 1000),
-                 (long long)((total_us - router_us) / 1000),
-                 (long long)(ThreadCpuMicros() / 1000));
-  }
 
   Status status;
   shard_stats_.clear();

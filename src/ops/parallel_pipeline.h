@@ -18,8 +18,11 @@
 // key hashes for partition selection, index probe and insert, and
 // amortizes the per-tuple counter bookkeeping across each batch.
 //
-// Because an equi-join only ever pairs tuples of equal keys, and all
-// tuples of one key hash to the same shard, every shard runs the complete
+// A key's shard is a pure function of its hash (one function in
+// parallel_pipeline.cc, called by tuple and punctuation routing alike, so
+// the two cannot disagree about a key's owner). Because an equi-join only
+// ever pairs tuples of equal keys, and all tuples of one key hash to the
+// same shard, every shard runs the complete
 // single-threaded join algorithm over a disjoint key subset: memory
 // portion, disk portion, purge buffer, and purge/disk-join work all stay
 // shard-local.
@@ -76,11 +79,9 @@
 #include "common/clock.h"
 #include "common/spsc_ring.h"
 #include "exec/registry.h"
-#include "fault/fault_injector.h"
 #include "join/join_base.h"
 #include "obs/metrics_registry.h"
 #include "ops/release_board.h"
-#include "ops/repartition.h"
 
 namespace pjoin {
 
@@ -118,10 +119,6 @@ struct ParallelPipelineOptions {
   /// Optional registry receiving one kShardStats event per shard when the
   /// run completes (event.stream = shard id).
   EventRegistry* stats_registry = nullptr;
-  /// Runtime repartitioning (ops/repartition.h): hot-key replication and
-  /// key migration between shards via epoch-fenced handoffs. Disabled by
-  /// default — the static pipeline pays nothing.
-  RepartitionPolicy repartition;
 };
 
 /// Final per-shard occupancy of one run.
@@ -184,55 +181,12 @@ class ParallelJoinPipeline {
   /// Punctuation epoch barriers the router executed.
   int64_t epoch_barriers() const { return epoch_barriers_; }
 
-  // ---- Repartitioning introspection (atomics: readable mid-run) ----
-  /// Key migrations completed (also counter pjoin_migrations_total).
-  int64_t migrations_completed() const { return migrations_completed_.load(); }
-  /// Handoffs refused or failed and rolled back cleanly (also counter
-  /// pjoin_migration_rollbacks_total).
-  int64_t migration_rollbacks() const { return migration_rollbacks_.load(); }
-  /// Epoch-fenced handoffs started (migrations + replications + rollbacks).
-  int64_t handoffs_started() const { return handoffs_started_.load(); }
-  /// Keys currently hot-replicated (also gauge pjoin_hot_keys_active).
-  int64_t hot_keys_active() const { return shard_map_.replicated_keys(); }
-  const ShardMap& shard_map() const { return shard_map_; }
-
  private:
   /// A contiguous read-only chunk of one caller input vector — the unit of
   /// the producer→router rings.
   struct InputSpan {
     const StreamElement* data = nullptr;
     size_t size = 0;
-  };
-
-  /// An in-band repartitioning command, delivered through a shard's routed
-  /// ring so FIFO order fences it behind every element dispatched before
-  /// it. kExtract asks the (fenced) source to extract or copy a key's
-  /// state; kInstall delivers the payload to a destination.
-  struct RepartCommand {
-    enum class Kind { kExtract, kInstall };
-    Kind kind = Kind::kExtract;
-    Value key;
-    uint64_t key_hash = 0;
-    /// Extract: copy (replication — source keeps its state) instead of
-    /// move (migration).
-    bool copy = false;
-    uint64_t handoff_id = 0;
-    /// Router-decided fault injection (FaultPlan::migration): the shard
-    /// fails the step without touching state.
-    bool inject_failure = false;
-    /// kInstall: the state to install.
-    KeyStateHandoff payload;
-  };
-
-  /// A shard's answer to a RepartCommand, shipped through its output ring.
-  struct HandoffOut {
-    uint64_t handoff_id = 0;
-    /// False: extract answer (payload on success). True: install answer —
-    /// on an injected failure the payload travels back so the router can
-    /// restore it at the source.
-    bool install_ack = false;
-    Status status;
-    KeyStateHandoff payload;
   };
 
   /// Columnar routed batch — the unit of the router→shard rings. Parallel
@@ -253,8 +207,6 @@ class ParallelJoinPipeline {
     /// router on ~1/flow_sample_period tuples, stepped by the shard,
     /// terminated by the merger.
     uint64_t flow_id = 0;
-    /// A command batch carries exactly one command and no elements.
-    std::unique_ptr<RepartCommand> command;
   };
 
   /// The unit of the shard→merger rings: staged results followed by the
@@ -266,30 +218,6 @@ class ParallelJoinPipeline {
     /// Flow id carried over from the newest sampled RoutedBatch this shard
     /// processed (0 = none): lets the merger close the flow arrow.
     uint64_t flow_id = 0;
-    /// A handoff answer rides alone in its own batch, behind the output
-    /// the shard staged before executing the command.
-    std::unique_ptr<HandoffOut> handoff;
-  };
-
-  /// Router-side state of the (single) in-flight handoff. While it is
-  /// active the fenced key's tuples, all punctuations, and end-of-stream
-  /// markers are parked in arrival order; everything else keeps flowing.
-  struct ActiveHandoff {
-    uint64_t id = 0;
-    Value key;
-    uint64_t key_hash = 0;
-    int from = 0;
-    int to = 0;
-    bool replicate = false;
-    int spray_side = 0;
-    /// Installs still outstanding (num_shards-1 for replication, 1 for
-    /// migration and rollback).
-    int pending_installs = 0;
-    enum class Phase { kExtract, kInstall, kRollback };
-    Phase phase = Phase::kExtract;
-    /// Extracted state, held between the extract answer and the install
-    /// dispatch (replication installs copy from it per destination).
-    KeyStateHandoff payload;
   };
 
   // Per-shard context: the two rings, progress counters, staging buffers.
@@ -297,27 +225,9 @@ class ParallelJoinPipeline {
 
   void RouterLoop(SpscRing<InputSpan>* in_left, SpscRing<InputSpan>* in_right);
   void ShardLoop(Shard* shard);
-  /// Dispatches one element (tuple / punctuation / EOS) under the current
-  /// shard map and fence state; both the main router loop and the
-  /// post-fence replay of parked elements go through here.
+  /// Dispatches one element (tuple / punctuation / EOS) to the shards
+  /// that own it.
   void RouteElement(int side, const StreamElement* e);
-  /// Opens the epoch fence for one decision and sends the extract command.
-  void StartHandoff(const RepartitionDecision& decision);
-  /// Router-thread half of the handoff state machine: sends pending
-  /// install / rollback commands and, when the fence resolved, replays the
-  /// parked elements under the updated map. Called only from safe points
-  /// (never from inside DrainOutputs), so command pushes cannot recurse
-  /// into element staging.
-  void PumpRepartition();
-  /// Pushes a command batch to `shard` behind its staged elements (FIFO
-  /// fencing), backpressuring like FlushStaged.
-  void PushCommand(int shard, RepartCommand cmd);
-  /// Shard-side command execution (extract / install against the local
-  /// join), answered through the shard's output ring.
-  void ExecuteCommand(Shard* shard, RepartCommand& cmd);
-  /// Merger-side handoff answer: advances the state machine by setting
-  /// flags PumpRepartition acts on (this can run deep inside DrainOutputs).
-  void HandleHandoffOut(HandoffOut out);
   /// Appends element `e` (borrowed) to `shard`'s pending batch, flushing
   /// when full.
   void Stage(int shard, int8_t side, const StreamElement* e,
@@ -331,9 +241,6 @@ class ParallelJoinPipeline {
   /// merged, so callers waiting on output can park when a sweep comes back
   /// empty.
   size_t DrainOutputs();
-  /// Spray shard for one tuple of a replicated key: least merged output,
-  /// round-robin until output differentiates the shards.
-  int SprayTarget(uint64_t key_hash);
   void MergeOutBatch(OutBatch out);
   /// Shard-side: pushes staged results/releases into the shard's output
   /// ring when due (`force`, a pending release, or result_flush reached).
@@ -346,39 +253,14 @@ class ParallelJoinPipeline {
   ResultCallback on_result_;
   PunctCallback on_punct_;
 
-  // ---- Repartitioning (router/merger thread only, like the board) ----
-  /// The single source of truth for key → shard placement: tuple routing
-  /// and punctuation routing both consult this map, so they can never
-  /// disagree about a key's owner.
-  ShardMap shard_map_;
-  bool repart_enabled_ = false;
-  std::unique_ptr<RepartitionController> controller_;
-  std::unique_ptr<FaultInjector> repart_injector_;
-  uint64_t next_handoff_id_ = 0;
-  std::unique_ptr<ActiveHandoff> active_handoff_;
-  bool fence_active_ = false;
-  /// Elements parked by the fence, in arrival order: the fenced key's
-  /// tuples, every punctuation, and end-of-stream markers (a parked EOS
-  /// keeps the router loop alive until the fence resolves).
-  std::vector<std::pair<int8_t, const StreamElement*>> deferred_;
-  // Merger → router signals (same thread; flags only so HandleHandoffOut
-  // never stages elements from inside DrainOutputs).
-  bool send_installs_ = false;
-  bool send_rollback_ = false;
-  bool fence_done_ = false;
-  /// Per-side join-key positions and EOS-routed markers of the running
-  /// RouterLoop (members so the deferred replay shares them).
+  /// Per-side join-key positions of the running RouterLoop.
   size_t key_index_[2] = {0, 0};
-  bool eos_routed_[2] = {false, false};
   /// Coarse dispatch timestamp (see RouterLoop's refresh cadence).
   TimeMicros route_now_us_ = 0;
   /// Tuples routed so far — the flow-id source: tuple ordinal N gets flow
   /// id N when N falls on the sampling period (deterministic for a fixed
   /// input order).
   int64_t routed_tuples_ = 0;
-  /// Results merged per shard so far (router/merger thread). Feeds
-  /// SprayTarget's least-output choice for replicated keys.
-  std::vector<int64_t> merged_results_;
 
   /// Punctuation release board — router/caller thread only (the merger is
   /// single-threaded, which is what lets the old mutex-guarded board go).
@@ -402,13 +284,6 @@ class ParallelJoinPipeline {
   /// cycles the shard workers need to produce the output it waits for.
   std::atomic<uint32_t> out_activity_{0};
   obs::Counter backpressure_counter_;
-  std::atomic<int64_t> migrations_completed_{0};
-  std::atomic<int64_t> migration_rollbacks_{0};
-  std::atomic<int64_t> handoffs_started_{0};
-  obs::Counter migrations_counter_;
-  obs::Counter rollbacks_counter_;
-  obs::Gauge hot_keys_gauge_;
-  obs::Gauge imbalance_gauge_;
   /// Release rounds still open on the board (pjoin_punct_pending_rounds).
   obs::Gauge punct_pending_gauge_;
   bool ran_ = false;

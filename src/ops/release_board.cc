@@ -24,34 +24,14 @@ int PunctReleaseBoard::ExpectedShards(const Punctuation& p) const {
   return num_shards_;
 }
 
-void PunctReleaseBoard::NoteDispatch(const Punctuation& p,
-                                     int expected_shards) {
-  PJOIN_DCHECK(expected_shards > 0);
-  counts_[p.ToString()].dispatched.push_back(expected_shards);
-}
-
 bool PunctReleaseBoard::Release(const Punctuation& p) {
-  Entry& e = counts_[p.ToString()];
-  if (e.expected == 0) {
-    // A new round opens: its fan-out is whatever the router recorded at
-    // dispatch time, or the static pattern inference when nothing was
-    // recorded. Interleaved releases of differently-fanned rounds of the
-    // same string still emit once per dispatched round — each completed
-    // count consumes exactly one recorded fan-out.
-    if (!e.dispatched.empty()) {
-      e.expected = e.dispatched.front();
-      e.dispatched.pop_front();
-    } else {
-      e.expected = ExpectedShards(p);
-    }
-  }
-  const bool was_mid_round = e.count != 0;
-  if (++e.count < e.expected) {
+  int& count = counts_[p.ToString()];
+  const bool was_mid_round = count != 0;
+  if (++count < ExpectedShards(p)) {
     if (!was_mid_round) ++pending_;
     return false;
   }
-  e.count = 0;
-  e.expected = 0;
+  count = 0;
   if (was_mid_round) --pending_;
   return true;
 }

@@ -3,9 +3,11 @@
 // contract (paper §3.3; docs/PERFORMANCE.md "The lock-free spine").
 //
 // The router dispatches a punctuation either to one shard (constant
-// join-key pattern — only the key's owning shard can hold covered state)
-// or to every shard (broadcast). Each receiving shard releases it after
-// the results it covers. The board counts those releases and reports
+// join-key pattern — a key's shard is a pure function of its hash, so only
+// the key's owning shard can hold covered state) or to every shard
+// (broadcast). The board infers that fan-out from the punctuation's
+// pattern alone. Each receiving shard releases the punctuation after the
+// results it covers. The board counts those releases and reports
 // completion exactly when the last expected shard has released, so the
 // pipeline emits each punctuation exactly once: never early (a missing
 // shard could still hold covered results), never twice, and tolerant of
@@ -25,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 
@@ -45,18 +46,8 @@ class PunctReleaseBoard {
 
   /// How many shard releases complete one emission of `p`: 1 for a
   /// constant-key punctuation (routed to the key's owning shard alone),
-  /// num_shards for a broadcast pattern. This static inference is the
-  /// fallback when the router recorded no NoteDispatch for `p`.
+  /// num_shards for a broadcast pattern.
   int ExpectedShards(const Punctuation& p) const;
-
-  /// Records, at dispatch time, how many shards the router actually sent
-  /// the round of `p` to. Under runtime repartitioning the fan-out of a
-  /// constant-key punctuation is dynamic — 1 before a key is replicated,
-  /// num_shards after — so the pattern inference can no longer reconstruct
-  /// it; the router (the same thread as the merger) records the truth
-  /// instead. Rounds of the same punctuation string consume their recorded
-  /// fan-outs in dispatch order.
-  void NoteDispatch(const Punctuation& p, int expected_shards);
 
   /// Records one shard's release of `p`. Returns true exactly when this
   /// release completes a full round — the caller emits `p` then and only
@@ -69,18 +60,10 @@ class PunctReleaseBoard {
   int64_t pending_rounds() const { return pending_; }
 
  private:
-  struct Entry {
-    int count = 0;
-    int expected = 0;  // resolved when a round opens; 0 between rounds
-    /// Fan-outs recorded by NoteDispatch, consumed FIFO as rounds open.
-    /// Empty when the router never recorded one (single-shard callers,
-    /// model-check harness) — ExpectedShards infers instead.
-    std::deque<int> dispatched;
-  };
-
   size_t key_pos_[2] = {0, 0};
   int num_shards_ = 1;
-  std::map<std::string, Entry> counts_;
+  /// Releases of the open round per punctuation string.
+  std::map<std::string, int> counts_;
   /// Entries with count != 0 (mid-round), kept in lockstep by Release.
   int64_t pending_ = 0;
 };

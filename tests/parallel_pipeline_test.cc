@@ -145,23 +145,29 @@ TEST_P(ParallelEquivalenceTest, PunctuationHeavyWorkload) {
   }
 }
 
+// Heavy skew pins most of the work on one shard under static sharding;
+// the output must still equal the reference. s=1.6 puts roughly half of
+// the tuples on the hottest key.
 TEST_P(ParallelEquivalenceTest, SkewedWorkload) {
   const Operator op = GetParam();
-  Workload w = MakeWorkload("zipf", /*seed=*/5150, /*punct_rate=*/20.0,
-                            /*zipf_s=*/1.2);
-  const std::vector<std::string> reference = ReferenceJoinRows(
-      w.streams.a, w.streams.b,
-      MakeJoin(op, w.streams.schema_a, w.streams.schema_b, JoinOptions())
-          ->output_schema(),
-      0, 0);
-  const JoinOptions jopts = SmallStateOptions();
-  for (const int shards : {2, 4}) {
-    ParallelPipelineOptions popts;
-    popts.num_shards = shards;
-    const RunResult got =
-        RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
-                    w.streams.a, w.streams.b, popts);
-    EXPECT_EQ(got.results, reference) << "shards=" << shards;
+  for (const double zipf_s : {1.2, 1.6}) {
+    Workload w = MakeWorkload("zipf", /*seed=*/5150, /*punct_rate=*/20.0,
+                              zipf_s);
+    const std::vector<std::string> reference = ReferenceJoinRows(
+        w.streams.a, w.streams.b,
+        MakeJoin(op, w.streams.schema_a, w.streams.schema_b, JoinOptions())
+            ->output_schema(),
+        0, 0);
+    const JoinOptions jopts = SmallStateOptions();
+    for (const int shards : {2, 4}) {
+      ParallelPipelineOptions popts;
+      popts.num_shards = shards;
+      const RunResult got =
+          RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
+                      w.streams.a, w.streams.b, popts);
+      EXPECT_EQ(got.results, reference)
+          << "zipf_s=" << zipf_s << " shards=" << shards;
+    }
   }
 }
 
@@ -227,6 +233,55 @@ TEST(ParallelPJoinTest, PunctuationsReleasedOnceAndAfterCoveredResults) {
       state += s.state_tuples;
     }
     EXPECT_EQ(state, ref_join->total_state_tuples()) << "shards=" << shards;
+  }
+}
+
+// A key's shard is a pure function of its hash, shared by tuple and
+// punctuation routing. One tuple per side for each key must meet at one
+// shard, so both sides agree on every owner. Every shard owns some key at
+// x4, and a rerun places every tuple on the same shard. Each key's
+// constant-key punctuations must reach its owner, which then purges the
+// key's state.
+TEST(StaticShardingTest, StaticMappingIsStableAndInRange) {
+  const SchemaPtr sa = KeyPayloadSchema("a");
+  const SchemaPtr sb = KeyPayloadSchema("b");
+  constexpr int64_t kKeys = 200;
+  ElementsBuilder left, right;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    left.Tup(KP(sa, k, k));
+    right.Tup(KP(sb, k, k));
+  }
+  for (int64_t k = 0; k < kKeys; ++k) {
+    left.Punct(KeyPunct(k));
+    right.Punct(KeyPunct(k));
+  }
+  const std::vector<StreamElement> l = left.Finish();
+  const std::vector<StreamElement> r = right.Finish();
+
+  ParallelPipelineOptions popts;
+  popts.num_shards = 4;
+  std::vector<int64_t> first_placement;
+  for (int run = 0; run < 2; ++run) {
+    ParallelJoinPipeline* pipeline = nullptr;
+    const RunResult got = RunParallel(Operator::kPJoin, sa, sb,
+                                      SmallStateOptions(), l, r, popts,
+                                      &pipeline);
+    EXPECT_EQ(got.results.size(), static_cast<size_t>(kKeys));
+    EXPECT_EQ(got.punctuations.size(), static_cast<size_t>(2 * kKeys));
+    ASSERT_EQ(pipeline->shard_stats().size(), 4u);
+    std::vector<int64_t> placement;
+    int64_t state = 0;
+    for (const ShardStats& s : pipeline->shard_stats()) {
+      EXPECT_GT(s.tuples, 0) << "shard " << s.shard << " owns no key";
+      placement.push_back(s.tuples);
+      state += s.state_tuples;
+    }
+    EXPECT_EQ(state, 0);
+    if (run == 0) {
+      first_placement = placement;
+    } else {
+      EXPECT_EQ(placement, first_placement) << "placement must be stable";
+    }
   }
 }
 

@@ -20,25 +20,13 @@ Kinds:
   micro_ops    google-benchmark JSON (bench/micro_ops --benchmark_out=...).
                Gate: the scan/indexed probe time ratio per bucket size must
                be within --tolerance of the baseline's ratio.
-  skew_sweep   The skew_sweep section of BENCH_par_scaling.json (the zipf
-               sweep comparing static sharding against the adaptive
-               repartitioner). Gated on the *bottleneck share* (max shard's
-               fraction of total results; 1/shards = balanced), which is
-               deterministic and machine-independent — wall time cannot
-               reward load balancing on a single-core runner. Gates: every
-               point's oracle passes; no point's adaptive share is worse
-               than static; at the highest skew the adaptive share strictly
-               beats static AND the repartitioner actually engaged
-               (migrations + hot keys > 0); at zipf 0 the adaptive wall
-               time stays within the (generous) overhead ceiling.
 
 --self-test checks the gate against itself: the checked-in baselines must
 pass against themselves, and the doctored fixtures under
-tools/bench_fixtures/ (a ~25% throughput regression at 4 shards, a
+tools/bench_fixtures/ (a ~25% throughput regression at 4 shards, and a
 compound-only fixture whose parallel_x4_indexed run stays above the
-throughput floor yet no longer beats indexed_1thread, and a skew fixture
-whose adaptive run no longer beats static at the highest zipf point) plus
-a synthetically slowed micro run must fail — each for its own reason.
+throughput floor yet no longer beats indexed_1thread) plus a synthetically
+slowed micro run must fail — each for its own reason.
 
 Exit status: 0 pass, 1 regression or malformed input, 2 usage error.
 """
@@ -57,17 +45,6 @@ MICRO_BASELINE = "BENCH_micro_ops.json"
 # Probe sizes gated in micro_ops mode. Size 10 is excluded: at tens of
 # nanoseconds per probe the ratio is dominated by fixed overhead and noise.
 MICRO_PROBE_SIZES = (100, 1000)
-
-# Headroom on the bottleneck-share comparisons. Shares are deterministic
-# for a given seed, but fresh runs use the runner's default config; the
-# epsilon absorbs single-tuple rounding at points where adaptive and
-# static are meant to tie, without masking a real imbalance regression
-# (the s=1.6 gap this gate protects is ~0.09 share).
-SKEW_SHARE_EPS = 0.02
-
-# zipf_s at and above which the adaptive pipeline must be engaged (the
-# sweep's "high skew" points).
-SKEW_HIGH_S = 1.2
 
 
 def fail(msg):
@@ -147,89 +124,6 @@ def compare_spill_sweep(baseline, fresh, tolerance):
                 f"spill-efficiency ratio regressed >{tolerance:.0%}: "
                 f"{fresh_ratio:.3f} > ceiling {ceiling:.3f} "
                 f"(baseline {base_ratio:.3f})")
-    return findings
-
-
-def skew_points(doc):
-    return {float(p["zipf_s"]): p
-            for p in doc.get("skew_sweep", {}).get("points", [])}
-
-
-def compare_skew_sweep(baseline, fresh, tolerance):
-    """Gate the zipf skew sweep: adaptive repartitioning must beat static
-    sharding where there is skew to exploit and cost ~nothing where there
-    is none. All share comparisons are within the fresh file (static and
-    adaptive runs share the machine), so the gate is speed-independent."""
-    findings = []
-    base_pts = skew_points(baseline)
-    fresh_pts = skew_points(fresh)
-    if not base_pts and not fresh_pts:
-        return findings
-    if not fresh_pts:
-        return fail("baseline has a skew_sweep section but fresh does not "
-                    "(sweep disabled or bench regressed?)")
-    for s in sorted(set(base_pts) - set(fresh_pts)):
-        findings += fail(f"skew_sweep: baseline point zipf_s={s:g} missing "
-                         "from fresh file")
-
-    for s, p in sorted(fresh_pts.items()):
-        if not p.get("oracle_pass", False):
-            findings += fail(f"skew_sweep s={s:g}: oracle failed "
-                             "(adaptive results diverge from reference)")
-        st = float(p["static_bottleneck_share"])
-        ad = float(p["adaptive_bottleneck_share"])
-        verdict = "OK" if ad <= st + SKEW_SHARE_EPS else "REGRESSION"
-        print(f"  skew@s={s:g}: bottleneck share adaptive {ad:.3f} vs "
-              f"static {st:.3f} (migr {p.get('migrations', 0)}, "
-              f"hot {p.get('hot_keys', 0)}) {verdict}")
-        if ad > st + SKEW_SHARE_EPS:
-            findings += fail(
-                f"skew_sweep s={s:g}: adaptive bottleneck share {ad:.3f} "
-                f"worse than static {st:.3f} (+eps {SKEW_SHARE_EPS}) — "
-                "repartitioning is hurting balance")
-
-    # The highest-skew point is where adaptivity must pay off: strictly
-    # better balance than static, achieved by actually doing something.
-    top_s = max(fresh_pts)
-    if top_s < SKEW_HIGH_S:
-        findings += fail(f"skew_sweep: highest point zipf_s={top_s:g} is "
-                         f"below the high-skew bar {SKEW_HIGH_S} (sweep "
-                         "no longer exercises real skew)")
-    else:
-        p = fresh_pts[top_s]
-        st = float(p["static_bottleneck_share"])
-        ad = float(p["adaptive_bottleneck_share"])
-        engaged = int(p.get("migrations", 0)) + int(p.get("hot_keys", 0))
-        if ad >= st:
-            findings += fail(
-                f"skew_sweep s={top_s:g}: adaptive bottleneck share "
-                f"{ad:.3f} no longer strictly beats static {st:.3f}")
-        if engaged <= 0:
-            findings += fail(
-                f"skew_sweep s={top_s:g}: repartitioner never engaged "
-                "(0 migrations, 0 hot keys) — detector or handoff is dead")
-
-    # At zipf 0 adaptivity has nothing to exploit; its only legitimate
-    # cost is detector overhead. Wall time IS machine-dependent, so the
-    # ceiling is deliberately loose (>= 25%): this catches "the detector
-    # got expensive on unskewed streams", not scheduling noise.
-    if 0.0 in fresh_pts:
-        p = fresh_pts[0.0]
-        st_ms = float(p["static_wall_ms"])
-        ad_ms = float(p["adaptive_wall_ms"])
-        wall_tol = max(tolerance, 0.25)
-        ceiling = st_ms * (1.0 + wall_tol)
-        verdict = "OK" if ad_ms <= ceiling else "REGRESSION"
-        print(f"  skew@s=0: adaptive wall {ad_ms:.1f}ms vs static "
-              f"{st_ms:.1f}ms (ceiling {ceiling:.1f}ms) {verdict}")
-        if ad_ms > ceiling:
-            findings += fail(
-                f"skew_sweep s=0: adaptive wall {ad_ms:.1f}ms exceeds "
-                f"static {st_ms:.1f}ms +{wall_tol:.0%} — the repartitioner "
-                "is no longer free on unskewed streams")
-    else:
-        findings += fail("skew_sweep: no zipf_s=0 point (the no-skew "
-                         "overhead control is gone)")
     return findings
 
 
@@ -392,8 +286,6 @@ def run_compare(kind, baseline_path, fresh_path, tolerance, shards):
           f"(tolerance {tolerance:.0%})")
     if kind == "par_scaling":
         findings = compare_par_scaling(baseline, fresh, tolerance, shards)
-    elif kind == "skew_sweep":
-        findings = compare_skew_sweep(baseline, fresh, tolerance)
     else:
         findings = compare_micro_ops(baseline, fresh, tolerance)
     print(f"bench_compare: {len(findings)} finding(s)")
@@ -414,14 +306,9 @@ def self_test(root, tolerance, shards):
     fixture_path = os.path.join(root, FIXTURE_DIR, "par_scaling_regressed.json")
     compound_path = os.path.join(root, FIXTURE_DIR,
                                  "par_scaling_compound_regressed.json")
-    skew_path = os.path.join(root, FIXTURE_DIR,
-                             "par_scaling_skew_regressed.json")
 
     expect("par_scaling baseline passes against itself",
            run_compare("par_scaling", par_path, par_path, tolerance, shards),
-           0)
-    expect("skew_sweep baseline passes against itself",
-           run_compare("skew_sweep", par_path, par_path, tolerance, shards),
            0)
     expect("micro_ops baseline passes against itself",
            run_compare("micro_ops", micro_path, micro_path, tolerance,
@@ -432,15 +319,6 @@ def self_test(root, tolerance, shards):
     expect("compound-regressed par_scaling fixture fails the gate",
            run_compare("par_scaling", par_path, compound_path, tolerance,
                        shards), 1)
-    expect("skew-regressed fixture fails the skew gate",
-           run_compare("skew_sweep", par_path, skew_path, tolerance,
-                       shards), 1)
-    # Right reason: the skew fixture's doctoring is confined to the
-    # skew_sweep section, so the plain par_scaling gate must still accept
-    # it — only the skew gate can be what rejects it.
-    expect("skew fixture still passes the plain par_scaling gate",
-           run_compare("par_scaling", par_path, skew_path, tolerance,
-                       shards), 0)
 
     # The compound fixture must fail for the right reason: its gated run
     # stays above the plain throughput floor, so only the compound check
@@ -478,7 +356,7 @@ def self_test(root, tolerance, shards):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind",
-                        choices=["par_scaling", "micro_ops", "skew_sweep"],
+                        choices=["par_scaling", "micro_ops"],
                         help="schema of the compared files")
     parser.add_argument("--baseline", help="checked-in baseline JSON")
     parser.add_argument("--fresh", help="freshly measured JSON")

@@ -31,8 +31,9 @@ and src/common/status.h actually hold across the tree:
                        common/thread_annotations.h; files using Mutex /
                        MutexLock / CondVar must include common/mutex.h.
   raw-clock            std::chrono::{steady,system,high_resolution}_clock
-                       ::now() in src/ outside src/common/clock.* and the
-                       tracer (src/obs/trace.*). Operators and drivers
+                       ::now(), or a free clock_gettime(2) /
+                       gettimeofday(2) call, in src/ outside
+                       src/common/clock.* and the tracer (src/obs/trace.*). Operators and drivers
                        read time through the Clock interface / Stopwatch /
                        SteadyDeadlineAfter so virtual-time benches and
                        deterministic tests stay honest.
@@ -122,9 +123,13 @@ ANNOTATION_RE = re.compile(
     r"TRY_ACQUIRE|EXCLUDES|ASSERT_CAPABILITY|RETURN_CAPABILITY|CAPABILITY|"
     r"SCOPED_CAPABILITY|NO_THREAD_SAFETY_ANALYSIS)\s*\(")
 MUTEX_USE_RE = re.compile(r"\b(MutexLock|CondVar)\b|\bMutex\b\s*[&*\w]")
+# The chrono clocks' now(), or free clock_gettime()/gettimeofday() calls
+# (optionally ::-qualified; the leading class rejects member calls and
+# identifiers that merely end in those names).
 RAW_CLOCK_RE = re.compile(
     r"std::chrono::(steady_clock|system_clock|high_resolution_clock)"
-    r"\s*::\s*now\s*\(")
+    r"\s*::\s*now\s*\("
+    r"|(?:^|[^\w:.>])(?:::)?(clock_gettime|gettimeofday)\s*\(")
 # Free calls to socket()/bind()/accept(), optionally ::-qualified. The
 # leading character class rejects `std::bind(`, member calls (`x.bind(`,
 # `x->bind(`) and identifiers that merely end in a syscall name.
@@ -244,7 +249,7 @@ class Linter:
                     and rel_path.replace(os.sep, "/") not in RAW_CLOCK_EXEMPT):
                 if not nolinted(raw, "raw-clock"):
                     self.report(rel_path, i, "raw-clock",
-                                "raw std::chrono clock read; go through "
+                                "raw clock read; go through "
                                 "common/clock.h (Clock / Stopwatch / "
                                 "SteadyDeadlineAfter) so virtual-time "
                                 "benches stay honest")
