@@ -4,10 +4,42 @@
 #include <cstdlib>
 #include <sstream>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PJOIN_MC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PJOIN_MC_ASAN 1
+#endif
+#endif
+#ifdef PJOIN_MC_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace pjoin {
 namespace mc {
 
 namespace {
+
+// ASan tracks one stack per OS thread. Every fiber switch must be announced
+// (start before the switch, finish on arrival), or ASan misjudges which
+// stack is live: the first exception thrown on a makecontext stack then
+// trips __asan_handle_no_return. A fiber leaving for good passes a null
+// fake-stack slot so ASan frees its fake frames. No-ops without ASan.
+void StartSwitchFiber([[maybe_unused]] void** fake_stack_save,
+                      [[maybe_unused]] const void* bottom,
+                      [[maybe_unused]] size_t size) {
+#ifdef PJOIN_MC_ASAN
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#endif
+}
+
+void FinishSwitchFiber([[maybe_unused]] void* fake_stack_save,
+                       [[maybe_unused]] const void** bottom_old,
+                       [[maybe_unused]] size_t* size_old) {
+#ifdef PJOIN_MC_ASAN
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
+#endif
+}
 
 // All model threads are fibers on ONE OS thread, so a plain global is safe.
 Execution* g_current = nullptr;
@@ -265,32 +297,45 @@ void Execution::PrepareStart(int tid) {
 
 void Execution::SwitchFrom(int from, int to) {
   ThreadState& t = threads_[to];
+  ThreadState& self = threads_[from];
   t.state = State::kRunning;
   current_ = to;
-  if (!t.started) {
-    PrepareStart(to);
-    swapcontext(&threads_[from].ctx, &t.start_ctx);
-  } else {
-    swapcontext(&threads_[from].ctx, &t.ctx);
-  }
+  const bool fresh = !t.started;
+  if (fresh) PrepareStart(to);
+  StartSwitchFiber(&self.asan_fake_stack, t.stack.get(), kFiberStackSize);
+  swapcontext(&self.ctx, fresh ? &t.start_ctx : &t.ctx);
+  FinishSwitchFiber(self.asan_fake_stack, nullptr, nullptr);
 }
 
 void Execution::JumpTo(int to) {
   ThreadState& t = threads_[to];
   t.state = State::kRunning;
   current_ = to;
-  if (!t.started) {
-    PrepareStart(to);
-    setcontext(&t.start_ctx);
-  } else {
-    setcontext(&t.ctx);
-  }
+  const bool fresh = !t.started;
+  if (fresh) PrepareStart(to);
+  // Only finished fibers jump: null slot, this stack is never resumed.
+  StartSwitchFiber(nullptr, t.stack.get(), kFiberStackSize);
+  setcontext(fresh ? &t.start_ctx : &t.ctx);
+  std::abort();  // setcontext does not return
+}
+
+void Execution::ReturnToMain() {
+  StartSwitchFiber(nullptr, main_stack_bottom_, main_stack_size_);
+  setcontext(&main_ctx_);
   std::abort();  // setcontext does not return
 }
 
 void Execution::TrampolineEntry() {
   Execution* e = g_current;
   const int tid = e->starting_tid_;
+  const void* from_bottom = nullptr;
+  size_t from_size = 0;
+  FinishSwitchFiber(nullptr, &from_bottom, &from_size);
+  if (tid == 0) {
+    // Fiber 0 is always entered from RunSchedule's caller stack.
+    e->main_stack_bottom_ = from_bottom;
+    e->main_stack_size_ = from_size;
+  }
   try {
     if (e->abort_) throw AbortExecution{};
     e->threads_[tid].fn();
@@ -330,22 +375,30 @@ void Execution::TransferAfterFinish(int tid) {
         next = i;
         break;
       }
-      if (next < 0) setcontext(&main_ctx_);
+      if (next < 0) ReturnToMain();
       JumpTo(next);
     }
-    std::vector<Action> enabled = ComputeEnabled(/*self_enabled=*/false);
-    if (enabled.empty()) {
-      if (AllFinished()) setcontext(&main_ctx_);
+    int next = -1;
+    {
+      // Scoped: the vector must be freed before JumpTo abandons this stack.
+      const std::vector<Action> enabled =
+          ComputeEnabled(/*self_enabled=*/false);
+      if (!enabled.empty()) {
+        const int choice = ChooseIndex(static_cast<int>(enabled.size()));
+        const Action a = enabled[choice];
+        if (a.kind == Action::kFlush) {
+          DoFlushOldest(a.tid);
+          continue;
+        }
+        next = a.tid;
+      }
+    }
+    if (next < 0) {
+      if (AllFinished()) ReturnToMain();
       FailNoThrow(DeadlockMessage());
       continue;  // falls into the abort chain above
     }
-    const int choice = ChooseIndex(static_cast<int>(enabled.size()));
-    const Action a = enabled[choice];
-    if (a.kind == Action::kFlush) {
-      DoFlushOldest(a.tid);
-      continue;
-    }
-    JumpTo(a.tid);
+    JumpTo(next);
   }
 }
 
@@ -356,7 +409,9 @@ void Execution::RunSchedule(const std::function<void()>& body) {
   t0.state = State::kRunning;
   current_ = 0;
   PrepareStart(0);
+  StartSwitchFiber(&main_fake_stack_, t0.stack.get(), kFiberStackSize);
   swapcontext(&main_ctx_, &t0.start_ctx);
+  FinishSwitchFiber(main_fake_stack_, nullptr, nullptr);
   // Back here only when every fiber has finished (TransferAfterFinish).
   g_current = nullptr;
 }

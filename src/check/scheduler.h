@@ -221,6 +221,7 @@ class Execution {
     ucontext_t ctx{};        // saved at every park point
     ucontext_t start_ctx{};  // entry context (makecontext)
     std::unique_ptr<char[]> stack;
+    void* asan_fake_stack = nullptr;  // ASan fiber-switch save slot
     std::function<void()> fn;
     State state = State::kFinished;
     bool started = false;
@@ -263,6 +264,8 @@ class Execution {
   void SwitchFrom(int from, int to);
   /// Resumes `to` from a fiber that will never run again (finished).
   [[noreturn]] void JumpTo(int to);
+  /// Resumes RunSchedule's caller from a finished fiber.
+  [[noreturn]] void ReturnToMain();
   [[noreturn]] void TransferAfterFinish(int tid);
   void PrepareStart(int tid);
   bool AllFinished() const;
@@ -292,6 +295,11 @@ class Execution {
   std::vector<const void*> locs_;  // loc-id assignment, first-touch order
 
   ucontext_t main_ctx_{};
+  // The caller's (non-fiber) stack, as ASan reported it when fiber 0 first
+  // started; fibers returning to main_ctx_ announce the switch with it.
+  const void* main_stack_bottom_ = nullptr;
+  size_t main_stack_size_ = 0;
+  void* main_fake_stack_ = nullptr;
 };
 
 }  // namespace mc

@@ -71,16 +71,8 @@ Histogram::Histogram()
       min_(std::numeric_limits<int64_t>::max()),
       max_(std::numeric_limits<int64_t>::min()) {}
 
-int Histogram::BucketFor(int64_t value) {
-  if (value <= 0) return 0;
-  int b = 1;
-  uint64_t v = static_cast<uint64_t>(value);
-  while (v >>= 1) ++b;
-  return std::min(b, kNumBuckets - 1);
-}
-
 void Histogram::Add(int64_t value) {
-  ++buckets_[BucketFor(value)];
+  ++buckets_[HistogramBucketFor(value)];
   ++count_;
   sum_ += value;
   min_ = std::min(min_, value);

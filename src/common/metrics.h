@@ -5,6 +5,8 @@
 #ifndef PJOIN_COMMON_METRICS_H_
 #define PJOIN_COMMON_METRICS_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -59,6 +61,18 @@ class TimeSeries {
   bool has_pending_ = false;
 };
 
+/// Bucket count of every power-of-two histogram (Histogram here and the
+/// registry's obs::HistogramData).
+constexpr int kHistogramBuckets = 64;
+
+/// The one power-of-two bucket law: bucket 0 holds v <= 0; bucket b >= 1
+/// holds [2^(b-1), 2^b - 1]; the last bucket also takes everything above.
+inline int HistogramBucketFor(int64_t v) {
+  if (v <= 0) return 0;
+  return std::min(static_cast<int>(std::bit_width(static_cast<uint64_t>(v))),
+                  kHistogramBuckets - 1);
+}
+
 /// A histogram over int64 values with power-of-two bucket bounds.
 class Histogram {
  public:
@@ -76,8 +90,7 @@ class Histogram {
   std::string ToString() const;
 
  private:
-  static constexpr int kNumBuckets = 64;
-  static int BucketFor(int64_t value);
+  static constexpr int kNumBuckets = kHistogramBuckets;
 
   int64_t buckets_[kNumBuckets];
   int64_t count_;

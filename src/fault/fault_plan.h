@@ -57,10 +57,6 @@ struct IoFaultSpec {
   double partition_write_error_rate = 0.0;
   /// Probability that a read of `target_partition` fails.
   double partition_read_error_rate = 0.0;
-  /// Probability that an operation issued while a spilled partition is
-  /// being split (SpillPhase::kRepartition, any partition) fails —
-  /// exercises SplitSpilledPartition's all-or-nothing recovery.
-  double repartition_error_rate = 0.0;
 
   bool enabled() const {
     return transient_write_error_rate > 0 || transient_read_error_rate > 0 ||
@@ -68,8 +64,7 @@ struct IoFaultSpec {
            permanent_write_failure_after >= 0 ||
            permanent_read_failure_after >= 0 ||
            (target_partition >= 0 && (partition_write_error_rate > 0 ||
-                                      partition_read_error_rate > 0)) ||
-           repartition_error_rate > 0;
+                                      partition_read_error_rate > 0));
   }
 
   std::string ToString() const;

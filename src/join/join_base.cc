@@ -222,10 +222,6 @@ Status JoinOperator::RelocateUntilBelowThreshold() {
     counters_.Add("early_purged_tuples",
                   after.tuples_early_purged - before.tuples_early_purged);
   }
-  if (after.repartitions > before.repartitions) {
-    counters_.Add("spill_repartitions",
-                  after.repartitions - before.repartitions);
-  }
   return Status::OK();
 }
 

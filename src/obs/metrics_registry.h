@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -47,25 +48,14 @@ enum class MetricKind : int8_t {
 };
 
 /// Atomic power-of-two bucket array backing a registry histogram: the
-/// thread-safe sibling of common/metrics.h::Histogram (same BucketFor law,
-/// relaxed atomics instead of plain ints). Bucket 0 holds v <= 0; bucket
-/// b >= 1 holds values in [2^(b-1), 2^b - 1].
+/// thread-safe sibling of common/metrics.h::Histogram (same
+/// HistogramBucketFor law, relaxed atomics instead of plain ints).
 struct HistogramData {
-  static constexpr int kNumBuckets = 64;
+  static constexpr int kNumBuckets = kHistogramBuckets;
 
   std::atomic<int64_t> buckets[kNumBuckets] = {};
   std::atomic<int64_t> sum{0};
   std::atomic<int64_t> count{0};
-
-  static int BucketFor(int64_t v) {
-    if (v <= 0) return 0;
-    int b = 0;
-    while (v > 0) {
-      v >>= 1;
-      ++b;
-    }
-    return b < kNumBuckets ? b : kNumBuckets - 1;
-  }
 };
 
 /// One registered metric cell. Owned by the registry; handles point at it.
@@ -139,8 +129,7 @@ class Histogram {
   void Observe(int64_t value) {
     if (cell_ == nullptr) return;
     HistogramData& h = *cell_->hist;
-    h.buckets[HistogramData::BucketFor(value)].fetch_add(
-        1);
+    h.buckets[HistogramBucketFor(value)].fetch_add(1);
     h.sum.fetch_add(value);
     h.count.fetch_add(1);
   }

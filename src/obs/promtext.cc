@@ -79,7 +79,7 @@ void AppendHistogram(std::string* out, const std::string& name,
   for (size_t b = 0; b < s.buckets.size(); ++b) {
     cumulative += s.buckets[b];
     // Bucket 0 holds v <= 0; bucket b >= 1 holds [2^(b-1), 2^b - 1].
-    // ldexp keeps bucket 63 (the BucketFor overflow bucket) from shifting
+    // ldexp keeps bucket 63 (the HistogramBucketFor overflow bucket) from shifting
     // past the int64 range.
     const double le =
         b == 0 ? 0.0

@@ -30,17 +30,11 @@ int ShardOf(uint64_t key_hash, int num_shards) {
   return static_cast<int>(mixed % static_cast<uint64_t>(num_shards));
 }
 
-}  // namespace
+// A shard flushes its staged results into its output ring after this many
+// results (releases always flush with the batch they end).
+constexpr size_t kResultFlush = 256;
 
-std::string ShardStats::ToString() const {
-  return "shard=" + std::to_string(shard) +
-         " elements=" + std::to_string(elements) +
-         " tuples=" + std::to_string(tuples) +
-         " results=" + std::to_string(results) +
-         " puncts=" + std::to_string(puncts_emitted) +
-         " stalls=" + std::to_string(stalls) +
-         " state_tuples=" + std::to_string(state_tuples);
-}
+}  // namespace
 
 struct ParallelJoinPipeline::Shard {
   Shard(int id_in, size_t queue_batches, size_t out_batches)
@@ -120,9 +114,9 @@ CounterSet ParallelJoinPipeline::MergedCounters() const {
 void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
   if (shard->local_results.empty() && shard->local_releases.empty()) return;
   // Releases always flush promptly (the merger's board is waiting on them);
-  // bare results batch up to result_flush.
+  // bare results batch up to kResultFlush.
   if (!force && shard->local_releases.empty() &&
-      shard->local_results.size() < options_.result_flush) {
+      shard->local_results.size() < kResultFlush) {
     return;
   }
   OutBatch out;
@@ -135,7 +129,7 @@ void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
   // The moved-from vector restarts at zero capacity; reserving the flush
   // threshold up front spares the next batch the doubling re-allocations
   // (each of which would move every staged Tuple again).
-  shard->local_results.reserve(options_.result_flush);
+  shard->local_results.reserve(kResultFlush);
   // Safe to park here: the merger (router/caller thread) drains these rings
   // whenever it waits on anything.
   shard->out.PushBlocking(std::move(out));
@@ -487,7 +481,7 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   // emitted ahead of it.
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
-    shard->local_results.reserve(options_.result_flush);
+    shard->local_results.reserve(kResultFlush);
     shard->join->set_result_move_callback([shard](Tuple&& t) {
       shard->local_results.push_back(std::move(t));
     });
@@ -592,16 +586,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
     stalls_reported_ += shard->stats.stalls;
     shard_stats_.push_back(shard->stats);
     if (status.ok() && !shard->status.ok()) status = shard->status;
-  }
-  if (options_.stats_registry != nullptr) {
-    for (const ShardStats& stats : shard_stats_) {
-      // A dispatch failure must not mask an earlier shard error: the shard
-      // error is the run's outcome, the stats event is bookkeeping.
-      const Status dispatch_status = options_.stats_registry->Dispatch(
-          Event{EventType::kShardStats, /*time=*/0, /*stream=*/stats.shard,
-                stats.ToString()});
-      if (status.ok() && !dispatch_status.ok()) status = dispatch_status;
-    }
   }
   return status;
 }

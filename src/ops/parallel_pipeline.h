@@ -78,7 +78,6 @@
 
 #include "common/clock.h"
 #include "common/spsc_ring.h"
-#include "exec/registry.h"
 #include "join/join_base.h"
 #include "obs/metrics_registry.h"
 #include "ops/release_board.h"
@@ -97,9 +96,6 @@ struct ParallelPipelineOptions {
   size_t shard_queue_capacity = 8192;
   /// Elements per RoutedBatch (router dispatch granularity).
   size_t batch_size = 256;
-  /// Flush a shard's staged results into its output ring after this many
-  /// results (releases always flush with the batch they end).
-  size_t result_flush = 256;
   /// Broadcast punctuations behind an epoch barrier: the router waits until
   /// every shard has drained its ring before dispatching anything newer.
   /// FIFO delivery already preserves per-key punctuation order; the barrier
@@ -116,9 +112,6 @@ struct ParallelPipelineOptions {
   /// router→shard→merger as Chrome flow arrows (TRACE_FLOW_*). 0 disables
   /// sampling.
   uint64_t flow_sample_period = 1024;
-  /// Optional registry receiving one kShardStats event per shard when the
-  /// run completes (event.stream = shard id).
-  EventRegistry* stats_registry = nullptr;
 };
 
 /// Final per-shard occupancy of one run.
@@ -133,8 +126,6 @@ struct ShardStats {
   int64_t stalls = 0;
   /// Final retained state (memory + disk + purge buffer) of the shard.
   int64_t state_tuples = 0;
-
-  std::string ToString() const;
 };
 
 class ParallelJoinPipeline {
@@ -243,7 +234,7 @@ class ParallelJoinPipeline {
   size_t DrainOutputs();
   void MergeOutBatch(OutBatch out);
   /// Shard-side: pushes staged results/releases into the shard's output
-  /// ring when due (`force`, a pending release, or result_flush reached).
+  /// ring when due (`force`, a pending release, or kResultFlush reached).
   void FlushShardOut(Shard* shard, bool force);
 
   ParallelPipelineOptions options_;

@@ -2,30 +2,23 @@
 
 #include <algorithm>
 
+#include "common/macros.h"
+
 namespace pjoin {
 namespace {
 
-thread_local SpillPhase g_spill_phase = SpillPhase::kNormal;
+/// Weight of probe coldness in adaptive victim scoring: score = bytes *
+/// (1 + weight * ticks-since-last-access).
+constexpr double kColdnessWeight = 1.0;
 
 }  // namespace
-
-SpillPhaseScope::SpillPhaseScope(SpillPhase phase) : previous_(g_spill_phase) {
-  g_spill_phase = phase;
-}
-
-SpillPhaseScope::~SpillPhaseScope() { g_spill_phase = previous_; }
-
-SpillPhase CurrentSpillPhase() { return g_spill_phase; }
 
 SpillManager::SpillManager(SpillPolicy policy, SpillableState* left,
                            SpillableState* right)
     : policy_(policy), states_{left, right} {
   PJOIN_DCHECK(left != nullptr && right != nullptr);
   PJOIN_DCHECK(left->num_spill_partitions() == right->num_spill_partitions());
-  const size_t slots =
-      2 * static_cast<size_t>(left->num_spill_partitions());
-  cooldown_.assign(slots, 0);
-  split_exhausted_.assign(slots, false);
+  cooldown_.assign(2 * static_cast<size_t>(left->num_spill_partitions()), 0);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   bytes_spilled_counter_ =
       registry.GetCounter("pjoin_spill_bytes_spilled", "");
@@ -108,7 +101,7 @@ SpillManager::Candidate SpillManager::PickVictim(int64_t now_tick) const {
         const int64_t age =
             std::max<int64_t>(0, now_tick - state.PartitionLastAccessTick(p));
         score = static_cast<double>(bytes) *
-                (1.0 + policy_.coldness_weight * static_cast<double>(age));
+                (1.0 + kColdnessWeight * static_cast<double>(age));
       } else {
         // The paper's rule: largest memory portion by tuple count.
         score = static_cast<double>(tuples);
@@ -149,10 +142,10 @@ Status SpillManager::EnsureWithinBudget(
       break;
     }
     SpillableState& state = *states_[victim.side];
-    if (effective_mode() == SpillMode::kAdaptive && policy_.early_purge &&
-        purger_) {
+    if (effective_mode() == SpillMode::kAdaptive && purger_) {
       // Dead state never has to touch disk: purge the victim in place
       // first, and skip the write entirely when that already freed enough.
+      // Runs whenever a purger is wired (PJoin has one; XJoin does not).
       const EarlyPurgeOutcome freed = purger_(victim.side, victim.partition);
       if (freed.tuples > 0) {
         ++stats_.early_purge_runs;
@@ -182,26 +175,6 @@ Status SpillManager::EnsureWithinBudget(
     stats_.tuples_spilled += resident_tuples;
     stats_.bytes_spilled += resident_bytes;
     bytes_spilled_counter_.Add(resident_bytes);
-    const size_t slot = static_cast<size_t>(
-        victim.side * states_[0]->num_spill_partitions() + victim.partition);
-    if (effective_mode() == SpillMode::kAdaptive &&
-        policy_.repartition_record_bound > 0 && !split_exhausted_[slot] &&
-        state.LargestSpillUnitRecords(victim.partition) >
-            policy_.repartition_record_bound) {
-      Status split = state.SplitSpilledPartition(
-          victim.partition, policy_.repartition_fanout,
-          policy_.max_repartition_depth);
-      if (split.ok()) {
-        ++stats_.repartitions;
-      } else if (split.code() == StatusCode::kFailedPrecondition) {
-        // No further hash bits can separate this partition's records
-        // (single hot key / depth exhausted) — stop trying, not a failure.
-        split_exhausted_[slot] = true;
-      } else {
-        ++stats_.repartition_failures;
-        RecordFailure();
-      }
-    }
   }
   if (overran) ++stats_.budget_overruns;
   return Status::OK();

