@@ -4,6 +4,7 @@
 // punctuation) at the cost of burstier propagation.
 
 #include <unordered_map>
+#include <vector>
 
 #include "bench_util.h"
 #include "join/pjoin.h"
@@ -17,7 +18,7 @@ struct IndexRun {
   RunStats stats;
   /// Release latency in stream time: output punctuation minus the arrival
   /// of the latest input punctuation for the same key.
-  Histogram latency_micros;
+  std::vector<int64_t> latency_micros;
 };
 
 IndexRun Run(const GeneratedStreams& g, bool eager_index,
@@ -50,7 +51,7 @@ IndexRun Run(const GeneratedStreams& g, bool eager_index,
         if (!key_pattern.IsConstant()) return;
         auto it = punct_arrival.find(key_pattern.constant().AsInt64());
         if (it != punct_arrival.end()) {
-          out.latency_micros.Add(
+          out.latency_micros.push_back(
               std::max<int64_t>(0, join.last_arrival() - it->second));
         }
       });
@@ -88,11 +89,11 @@ int main() {
   PrintMetric("lazy puncts propagated",
               static_cast<double>(lazy.stats.puncts_out));
   std::printf("  release latency (stream us), eager index:       %s\n",
-              eager.latency_micros.ToString().c_str());
+              SummarizeSamples(eager.latency_micros).c_str());
   std::printf("  release latency (stream us), lazy index:        %s\n",
-              lazy.latency_micros.ToString().c_str());
+              SummarizeSamples(lazy.latency_micros).c_str());
   std::printf("  release latency (stream us), eager propagation: %s\n",
-              eager_prop.latency_micros.ToString().c_str());
+              SummarizeSamples(eager_prop.latency_micros).c_str());
   PrintShapeCheck("same propagation outcome",
                   eager.stats.puncts_out == lazy.stats.puncts_out &&
                       eager.stats.puncts_out == eager_prop.stats.puncts_out);
@@ -101,8 +102,8 @@ int main() {
                       eager.stats.counters.Get("index_scans"));
   PrintShapeCheck(
       "eager propagation halves the median release latency",
-      eager_prop.latency_micros.Percentile(0.5) * 2 <=
-          eager.latency_micros.Percentile(0.5));
+      Median(eager_prop.latency_micros) * 2 <=
+          Median(eager.latency_micros));
   PrintShapeCheck("identical result sets",
                   eager.stats.results == lazy.stats.results &&
                       eager.stats.results == eager_prop.stats.results);

@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "ops/pipeline.h"
@@ -104,6 +105,24 @@ void PrintMetric(const std::string& name, double value,
 
 void PrintShapeCheck(const std::string& expectation, bool holds) {
   std::printf("SHAPE %s: %s\n", holds ? "OK  " : "FAIL", expectation.c_str());
+}
+
+int64_t Median(std::vector<int64_t> samples) {
+  if (samples.empty()) return 0;
+  const auto mid =
+      samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
+std::string SummarizeSamples(const std::vector<int64_t>& samples) {
+  const int64_t max =
+      samples.empty() ? 0 : *std::max_element(samples.begin(), samples.end());
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "count=%zu median=%lld max=%lld",
+                samples.size(), static_cast<long long>(Median(samples)),
+                static_cast<long long>(max));
+  return std::string(buf);
 }
 
 }  // namespace bench

@@ -81,6 +81,15 @@ void PrintMetric(const std::string& name, double value,
 /// Prints the shape-check verdict line used by EXPERIMENTS.md.
 void PrintShapeCheck(const std::string& expectation, bool holds);
 
+// ---- Raw-sample summaries ----
+
+/// Exact median of `samples`: the middle sample, the upper one of the two
+/// middles for an even count; 0 when empty.
+int64_t Median(std::vector<int64_t> samples);
+
+/// "count=N median=M max=X" over raw samples.
+std::string SummarizeSamples(const std::vector<int64_t>& samples);
+
 }  // namespace bench
 }  // namespace pjoin
 

@@ -1,6 +1,7 @@
-// Lightweight metrics: named counters, time-series recording, and a fixed
-// bucket histogram. These back both the test assertions ("purge ran N times")
-// and the figure-reproduction benches (state size over time).
+// Lightweight metrics: named counters, time-series recording, and the
+// power-of-two bucket law of the registry's histograms. These back both the
+// test assertions ("purge ran N times") and the figure-reproduction benches
+// (state size over time).
 
 #ifndef PJOIN_COMMON_METRICS_H_
 #define PJOIN_COMMON_METRICS_H_
@@ -61,8 +62,8 @@ class TimeSeries {
   bool has_pending_ = false;
 };
 
-/// Bucket count of every power-of-two histogram (Histogram here and the
-/// registry's obs::HistogramData).
+/// Bucket count of the registry's power-of-two histograms
+/// (obs::HistogramData).
 constexpr int kHistogramBuckets = 64;
 
 /// The one power-of-two bucket law: bucket 0 holds v <= 0; bucket b >= 1
@@ -72,32 +73,6 @@ inline int HistogramBucketFor(int64_t v) {
   return std::min(static_cast<int>(std::bit_width(static_cast<uint64_t>(v))),
                   kHistogramBuckets - 1);
 }
-
-/// A histogram over int64 values with power-of-two bucket bounds.
-class Histogram {
- public:
-  Histogram();
-
-  void Add(int64_t value);
-
-  int64_t count() const { return count_; }
-  int64_t min() const { return min_; }
-  int64_t max() const { return max_; }
-  double mean() const;
-  /// Approximate quantile (q in [0,1]) from bucket interpolation.
-  int64_t Percentile(double q) const;
-
-  std::string ToString() const;
-
- private:
-  static constexpr int kNumBuckets = kHistogramBuckets;
-
-  int64_t buckets_[kNumBuckets];
-  int64_t count_;
-  int64_t sum_;
-  int64_t min_;
-  int64_t max_;
-};
 
 /// A named bag of counters; operators expose one of these for inspection.
 class CounterSet {

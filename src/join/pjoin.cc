@@ -133,10 +133,6 @@ Status PJoin::OnContractViolation(int side, std::string_view kind,
   return Status::OK();
 }
 
-Status PJoin::OnTuple(int side, const Tuple& tuple) {
-  return OnTupleHashed(side, tuple, state(side).KeyOf(tuple).Hash());
-}
-
 Status PJoin::OnTupleHashed(int side, const Tuple& tuple,
                             uint64_t key_hash) {
   // Contract check: this stream promised — via one of its own earlier
@@ -218,9 +214,7 @@ Status PJoin::OnPunctuation(int side, const Punctuation& punct) {
   // expectation so the health layer can surface purges that pile up
   // without firing.
   if (frontier_shard() >= 0 && state(1 - side).memory_tuples() > 0) {
-    obs::FrontierTracker::Global().NotePurgeExpected(
-        frontier_shard(), state(1 - side).memory_tuples(),
-        obs::TraceNowMicros());
+    obs::FrontierTracker::Global().NotePurgeExpected(frontier_shard());
   }
 
   if (options().eager_index_build) {

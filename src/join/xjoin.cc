@@ -1,6 +1,5 @@
 #include "join/xjoin.h"
 
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace pjoin {
@@ -10,10 +9,11 @@ XJoin::XJoin(SchemaPtr left_schema, SchemaPtr right_schema,
     : JoinOperator(std::move(left_schema), std::move(right_schema),
                    std::move(options)) {}
 
-Status XJoin::OnTuple(int side, const Tuple& tuple) {
+Status XJoin::OnTupleHashed(int side, const Tuple& tuple,
+                            uint64_t key_hash) {
   const int64_t tick = NextTick();
-  ProbeOppositeMemory(side, tuple);
-  InsertTuple(side, tuple, tick);
+  ProbeOppositeMemory(side, tuple, key_hash);
+  InsertTuple(side, tuple, tick, key_hash);
   // Memory pressure is resolved by the shared SpillManager (coldness-scored
   // victims); XJoin has no punctuations, so the manager's early-purge rung
   // is a no-op here (no purger is wired).
@@ -24,11 +24,6 @@ Status XJoin::OnPunctuation(int side, const Punctuation& punct) {
   (void)side;
   (void)punct;
   counters().Add("puncts_ignored");
-  // The frontier still advances (join_base notes the processing); flag the
-  // drop so a health probe can tell "consumed but ignored" from "stuck".
-  if (frontier_shard() >= 0) {
-    obs::FrontierTracker::Global().NotePunctIgnored();
-  }
   return Status::OK();
 }
 

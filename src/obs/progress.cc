@@ -60,24 +60,12 @@ void FrontierTracker::NoteProcessed(int side, std::string_view scheme,
   }
 }
 
-void FrontierTracker::NoteReleased() { released_total_.fetch_add(1); }
-
-void FrontierTracker::NotePunctIgnored() { puncts_ignored_.fetch_add(1); }
-
-void FrontierTracker::NotePurgeExpected(int shard, int64_t resident_tuples,
-                                        TimeMicros now_us) {
-  PurgeCell* cell = GetPurgeCell(shard);
-  if (cell->pending_puncts.fetch_add(1) == 0) {
-    cell->oldest_since_us.store(now_us);
-  }
-  cell->pending_tuples.fetch_add(resident_tuples);
+void FrontierTracker::NotePurgeExpected(int shard) {
+  GetPurgeCell(shard)->pending_puncts.fetch_add(1);
 }
 
 void FrontierTracker::NotePurgeFired(int shard) {
-  PurgeCell* cell = GetPurgeCell(shard);
-  cell->pending_puncts.store(0);
-  cell->pending_tuples.store(0);
-  cell->oldest_since_us.store(0);
+  GetPurgeCell(shard)->pending_puncts.store(0);
 }
 
 FrontierSnapshot FrontierTracker::Snap() const {
@@ -105,12 +93,8 @@ FrontierSnapshot FrontierTracker::Snap() const {
     PurgeExpectation out;
     out.shard = shard;
     out.pending_puncts = cell->pending_puncts.load();
-    out.pending_tuples = cell->pending_tuples.load();
-    out.oldest_since_us = cell->oldest_since_us.load();
     snap.purges.push_back(out);
   }
-  snap.released_total = released_total_.load();
-  snap.puncts_ignored = puncts_ignored_.load();
   return snap;
 }
 
@@ -118,8 +102,6 @@ void FrontierTracker::ResetForTest() {
   MutexLock lock(mu_);
   cells_.clear();
   purge_cells_.clear();
-  released_total_.store(0);
-  puncts_ignored_.store(0);
 }
 
 }  // namespace obs

@@ -4,20 +4,19 @@
 //
 // Latency histograms can say *that* punctuations are slow; the frontier
 // tracker says *where* one is stuck. The router notes every punctuation it
-// dispatches (ingress), the shard's join notes every punctuation it
-// finishes processing, and the merger notes every released emission — so a
-// cell whose processed count trails its ingress count identifies the exact
-// shard whose frontier stopped advancing, and for how long. PJoin
-// additionally reports the *expected-but-unfired purge set*: punctuations
-// that arrived while coverable state was resident but whose purge has not
-// run yet (lazy purge makes some pending work normal; a pile-up during a
-// stall is the smoking gun).
+// dispatches (ingress) and the shard loop notes every punctuation it
+// consumes — so a cell whose processed count trails its ingress count
+// identifies the exact shard whose frontier stopped advancing, and for how
+// long. PJoin additionally reports the *expected-but-unfired purge set*:
+// punctuations that arrived while coverable state was resident but whose
+// purge has not run yet (lazy purge makes some pending work normal; a
+// pile-up during a stall is the smoking gun).
 //
 // Threading: ingress is noted by the router thread, processing by shard
-// worker threads, releases by the merger. Cells are registered under a
-// mutex (punctuations are rare — hundreds per second, not millions) and
-// their fields are plain atomics, so the health watchdog and /healthz
-// handlers snapshot them without stopping the pipeline.
+// worker threads. Cells are registered under a mutex (punctuations are
+// rare — hundreds per second, not millions) and their fields are plain
+// atomics, so the health watchdog and /healthz handlers snapshot them
+// without stopping the pipeline.
 
 #ifndef PJOIN_OBS_PROGRESS_H_
 #define PJOIN_OBS_PROGRESS_H_
@@ -45,7 +44,7 @@ struct FrontierCell {
   std::string scheme;    // punctuation scheme: "constant", "range", ...
   int shard = 0;
   int64_t ingress_count = 0;    // punctuations the router dispatched here
-  int64_t processed_count = 0;  // punctuations the shard's join finished
+  int64_t processed_count = 0;  // punctuations the shard consumed
   TimeMicros last_ingress_us = 0;
   TimeMicros last_processed_us = 0;
   /// When the cell first fell behind (processed < ingress); 0 = caught up.
@@ -66,19 +65,11 @@ struct FrontierCell {
 struct PurgeExpectation {
   int shard = 0;
   int64_t pending_puncts = 0;
-  /// Resident opposite-state tuples summed at expectation time (an upper
-  /// bound on what the purges will release).
-  int64_t pending_tuples = 0;
-  TimeMicros oldest_since_us = 0;  // 0 = nothing pending
 };
 
 struct FrontierSnapshot {
   std::vector<FrontierCell> cells;
   std::vector<PurgeExpectation> purges;
-  /// Output punctuations the merger emitted (all cells combined).
-  int64_t released_total = 0;
-  /// Punctuations delivered to joins that ignore them (XJoin).
-  int64_t puncts_ignored = 0;
 };
 
 /// Process-global tracker (like Tracer / MetricsRegistry): pipelines deep
@@ -94,19 +85,14 @@ class FrontierTracker {
   /// `punct` is a short human-readable description kept as the frontier.
   void NoteIngress(int side, std::string_view scheme, int shard,
                    TimeMicros now_us, std::string_view punct);
-  /// Shard worker: the join at `shard` finished processing one punctuation
-  /// of (side, scheme).
+  /// Shard worker: `shard` consumed one punctuation of (side, scheme) —
+  /// its join processed it, or a failed shard discarded it.
   void NoteProcessed(int side, std::string_view scheme, int shard,
                      TimeMicros now_us);
-  /// Merger: one output punctuation was released (emitted exactly once).
-  void NoteReleased();
-  /// A join that ignores punctuations (XJoin) consumed one anyway.
-  void NotePunctIgnored();
 
-  /// PJoin: a punctuation arrived while `resident_tuples` coverable tuples
-  /// were memory-resident — a purge is now expected.
-  void NotePurgeExpected(int shard, int64_t resident_tuples,
-                         TimeMicros now_us);
+  /// PJoin: a punctuation arrived while coverable tuples were
+  /// memory-resident — a purge is now expected.
+  void NotePurgeExpected(int shard);
   /// PJoin: a purge ran at `shard`, applying every pending punctuation.
   void NotePurgeFired(int shard);
 
@@ -128,8 +114,6 @@ class FrontierTracker {
   };
   struct PurgeCell {
     std::atomic<int64_t> pending_puncts{0};
-    std::atomic<int64_t> pending_tuples{0};
-    std::atomic<int64_t> oldest_since_us{0};
   };
 
   FrontierTracker() = default;
@@ -142,8 +126,6 @@ class FrontierTracker {
   std::map<std::tuple<int, std::string, int>, std::unique_ptr<Cell>> cells_
       GUARDED_BY(mu_);
   std::map<int, std::unique_ptr<PurgeCell>> purge_cells_ GUARDED_BY(mu_);
-  std::atomic<int64_t> released_total_{0};
-  std::atomic<int64_t> puncts_ignored_{0};
 };
 
 }  // namespace obs

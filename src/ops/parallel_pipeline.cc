@@ -155,7 +155,6 @@ void ParallelJoinPipeline::MergeOutBatch(OutBatch out) {
     if (release_board_.Release(p)) {
       ++puncts_emitted_;
       released = true;
-      obs::FrontierTracker::Global().NoteReleased();
       if (on_punct_) on_punct_(p);
     }
   }
@@ -296,6 +295,23 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
           failed = true;
         }
       }
+      // Frontier accounting (obs/progress.h): every punctuation this shard
+      // consumed closes one ingress the router noted, whether the join
+      // processed it or a failed shard discarded it. Tuple-only batches
+      // skip the walk.
+      if (batch.tuple_count < static_cast<int64_t>(n)) {
+        obs::FrontierTracker& frontier = obs::FrontierTracker::Global();
+        const TimeMicros now_us = obs::TraceNowMicros();
+        for (size_t i = 0; i < n; ++i) {
+          const StreamElement& e = *batch.elements[i];
+          if (!e.is_punctuation()) continue;
+          const int side = batch.sides[i];
+          const Pattern& key_pattern =
+              e.punctuation().pattern(key_index_[side]);
+          frontier.NoteProcessed(side, PatternKindName(key_pattern.kind()),
+                                 shard->id, now_us);
+        }
+      }
       shard->processed.fetch_add(static_cast<int64_t>(n));
     }
     // Once-per-batch live publication: backlog, ring occupancies, and the
@@ -352,7 +368,7 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       // dispatched before it, per shard.
       const Pattern& key_pattern = e->punctuation().pattern(key_index_[side]);
       // Frontier accounting (obs/progress.h): every dispatch is an ingress
-      // for the (side, scheme, shard) cell; the shard's join answers with
+      // for the (side, scheme, shard) cell; the shard loop answers with
       // NoteProcessed, and the gap is the shard's frontier lag.
       const std::string_view scheme = PatternKindName(key_pattern.kind());
       const std::string punct_desc = e->punctuation().ToString();
@@ -393,8 +409,6 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
   size_t pos[2] = {0, 0};
   // A side's EOS is routed (broadcast) as soon as the router consumes it.
   bool eos[2] = {false, false};
-  key_index_[0] = joins_[0]->state(0).key_index();
-  key_index_[1] = joins_[0]->state(1).key_index();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Gauge in_occupancy[2] = {
       registry.GetGauge("pjoin_ring_occupancy", "edge=input_l"),
@@ -468,6 +482,8 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
                                  const std::vector<StreamElement>& right) {
   PJOIN_DCHECK(!ran_);
   ran_ = true;
+  key_index_[0] = joins_[0]->state(0).key_index();
+  key_index_[1] = joins_[0]->state(1).key_index();
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   backpressure_counter_ = registry.GetCounter("pjoin_router_backpressure_waits",
@@ -482,7 +498,7 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
     shard->local_results.reserve(kResultFlush);
-    shard->join->set_result_move_callback([shard](Tuple&& t) {
+    shard->join->set_result_callback([shard](Tuple&& t) {
       shard->local_results.push_back(std::move(t));
     });
     shard->join->set_punct_callback([shard](const Punctuation& p) {
@@ -492,8 +508,8 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
         "pipeline=parallel,shard=" + std::to_string(shard->id);
     shard->join->BindLatencyMetrics(labels);
     shard->join->BindStateGauges(labels);
-    // Frontier accounting: the shard's join reports processed punctuations
-    // (and PJoin its purge expectations) to the cell the router feeds.
+    // Frontier accounting: PJoin reports its purge expectations under the
+    // shard's id.
     shard->join->BindFrontier(shard->id);
     shard->depth_gauge =
         registry.GetGauge("pjoin_shard_queue_depth", labels);

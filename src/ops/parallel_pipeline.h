@@ -244,7 +244,9 @@ class ParallelJoinPipeline {
   ResultCallback on_result_;
   PunctCallback on_punct_;
 
-  /// Per-side join-key positions of the running RouterLoop.
+  /// Per-side join-key positions, set by Run before any thread starts (the
+  /// router hashes tuple keys with them, the shards read punctuation
+  /// schemes).
   size_t key_index_[2] = {0, 0};
   /// Coarse dispatch timestamp (see RouterLoop's refresh cadence).
   TimeMicros route_now_us_ = 0;

@@ -186,72 +186,6 @@ TEST(TimeSeriesTest, ResampleCarriesLastForward) {
   EXPECT_EQ(grid[3].value, 9);
 }
 
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Add(i);
-  EXPECT_EQ(h.count(), 100);
-  EXPECT_EQ(h.min(), 1);
-  EXPECT_EQ(h.max(), 100);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_GT(h.Percentile(0.95), h.Percentile(0.5));
-  EXPECT_FALSE(h.ToString().empty());
-}
-
-TEST(HistogramTest, EmptyIsSafe) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.Percentile(0.5), 0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(HistogramTest, PercentileInterpolatesWithinBucket) {
-  // 100 values filling bucket [64, 127] uniformly would interpolate across
-  // the whole range; values 1..100 put the median in bucket [32, 63] at
-  // position (50 - 31)/32 of the way through, i.e. ~50 — the old
-  // upper-bound answer was a full bucket off (63).
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Add(i);
-  const int64_t p50 = h.Percentile(0.5);
-  EXPECT_GE(p50, 45);
-  EXPECT_LE(p50, 55);
-  // p95 lands in bucket [64, 127], which values 1..100 only half-fill: the
-  // interpolated point (~118) must clamp to the observed max.
-  EXPECT_EQ(h.Percentile(0.95), 100);
-}
-
-TEST(HistogramTest, PercentileExactForSingleValue) {
-  Histogram h;
-  h.Add(100);
-  // One sample: every quantile is that sample, not its bucket's bounds.
-  EXPECT_EQ(h.Percentile(0.0), 100);
-  EXPECT_EQ(h.Percentile(0.5), 100);
-  EXPECT_EQ(h.Percentile(1.0), 100);
-}
-
-TEST(HistogramTest, PercentileEdgeQuantiles) {
-  Histogram h;
-  for (int i = 1; i <= 16; ++i) h.Add(i);
-  EXPECT_EQ(h.Percentile(1.0), 16);  // q=1 is exactly the max
-  EXPECT_LE(h.Percentile(0.0), h.Percentile(1.0));
-  // Quantiles are monotone in q.
-  int64_t prev = 0;
-  for (double q = 0.1; q < 1.0; q += 0.1) {
-    const int64_t v = h.Percentile(q);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-}
-
-TEST(HistogramTest, PercentileNonPositiveBucket) {
-  Histogram h;
-  h.Add(-5);
-  h.Add(0);
-  h.Add(10);
-  // Bucket 0 (v <= 0) has no meaningful lower bound to interpolate from.
-  EXPECT_EQ(h.Percentile(0.25), 0);
-  EXPECT_EQ(h.Percentile(1.0), 10);
-}
-
 TEST(CounterSetTest, AddAndGet) {
   CounterSet c;
   EXPECT_EQ(c.Get("x"), 0);

@@ -158,19 +158,15 @@ TEST_F(HealthTest, CatchingUpClearsTheLag) {
 
 TEST_F(HealthTest, PurgeExpectationLifecycle) {
   obs::FrontierTracker& t = obs::FrontierTracker::Global();
-  t.NotePurgeExpected(3, /*resident_tuples=*/10, /*now_us=*/1000);
-  t.NotePurgeExpected(3, /*resident_tuples=*/5, /*now_us=*/2000);
+  t.NotePurgeExpected(3);
+  t.NotePurgeExpected(3);
   obs::FrontierSnapshot snap = t.Snap();
   ASSERT_EQ(snap.purges.size(), 1u);
   EXPECT_EQ(snap.purges[0].shard, 3);
   EXPECT_EQ(snap.purges[0].pending_puncts, 2);
-  EXPECT_EQ(snap.purges[0].pending_tuples, 15);
-  EXPECT_EQ(snap.purges[0].oldest_since_us, 1000);  // first pending wins
   t.NotePurgeFired(3);
   snap = t.Snap();
   EXPECT_EQ(snap.purges[0].pending_puncts, 0);
-  EXPECT_EQ(snap.purges[0].pending_tuples, 0);
-  EXPECT_EQ(snap.purges[0].oldest_since_us, 0);
 }
 
 // ---- EvaluateNow classification ----
@@ -221,7 +217,7 @@ TEST_F(HealthTest, UnfiredPurgesAloneNeverFlipTheVerdict) {
   // Lazy purge makes a pending purge set normal: informational only.
   obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
   monitor.Configure(TightThresholds());
-  obs::FrontierTracker::Global().NotePurgeExpected(0, 100, 1000);
+  obs::FrontierTracker::Global().NotePurgeExpected(0);
   const obs::HealthReport report = monitor.EvaluateNow(/*now_us=*/99000000);
   EXPECT_EQ(report.status, obs::HealthStatus::kOk);
   EXPECT_EQ(report.unfired_purges, 1);
@@ -633,8 +629,7 @@ TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
       const obs::HealthReport report =
           obs::HealthMonitor::Global().EvaluateNow();
       EXPECT_NE(HealthStatusName(report.status), nullptr);
-      const obs::FrontierSnapshot snap = obs::FrontierTracker::Global().Snap();
-      EXPECT_GE(snap.released_total, 0);
+      static_cast<void>(obs::FrontierTracker::Global().Snap());
       EXPECT_FALSE(Get(server.port(), "/healthz").empty());
       EXPECT_FALSE(Get(server.port(), "/debug/stalls").empty());
     }

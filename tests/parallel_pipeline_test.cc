@@ -17,6 +17,9 @@
 #include "gen/stream_generator.h"
 #include "join/pjoin.h"
 #include "join/xjoin.h"
+#include "obs/health.h"
+#include "obs/progress.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace pjoin {
@@ -369,6 +372,48 @@ TEST(ParallelPJoinTest, ShardErrorIsRunOutcome) {
       [&](int) { return std::make_unique<PJoin>(sa, sb, jopts); }, popts);
   const Status st = pipeline.Run(left, right);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+}
+
+// A failed shard keeps consuming (and discarding) its routed input. Each
+// punctuation it consumes must still close the ingress the router noted,
+// or the process-global frontier tracker reports that shard as stalled for
+// the rest of the process.
+TEST(ParallelPJoinTest, FailedShardLeavesNoStalledFrontier) {
+  obs::FrontierTracker::Global().ResetForTest();
+  obs::HealthMonitor::Global().ResetForTest();
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  JoinOptions jopts = SmallStateOptions();
+  jopts.violation_policy = ViolationPolicy::kFail;
+  // The late key-1 tuple fails its shard; the punctuation after it reaches
+  // the failed shard only to be discarded.
+  auto left = ElementsBuilder()
+                  .Tup(KP(sa, 1, 0))
+                  .Punct(KeyPunct(1))
+                  .Tup(KP(sa, 1, 2))
+                  .Punct(KeyPunct(1))
+                  .Finish();
+  auto right = ElementsBuilder(/*step=*/10).Tup(KP(sb, 1, 9)).Finish();
+
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  ParallelJoinPipeline pipeline(
+      [&](int) { return std::make_unique<PJoin>(sa, sb, jopts); }, popts);
+  const Status st = pipeline.Run(left, right);
+  ASSERT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+
+  const obs::FrontierSnapshot snap = obs::FrontierTracker::Global().Snap();
+  ASSERT_FALSE(snap.cells.empty());
+  for (const obs::FrontierCell& cell : snap.cells) {
+    EXPECT_EQ(cell.processed_count, cell.ingress_count)
+        << "shard " << cell.shard << " " << cell.scheme;
+  }
+  const obs::HealthReport report = obs::HealthMonitor::Global().EvaluateNow(
+      obs::TraceNowMicros() + 5 * kMicrosPerSecond);
+  EXPECT_EQ(report.stalled_frontiers, 0);
+  EXPECT_NE(report.status, obs::HealthStatus::kStalled)
+      << report.ToJson();
+  obs::HealthMonitor::Global().ResetForTest();
 }
 
 /// A PJoin that sleeps on every tuple, so its shard drains the routed ring

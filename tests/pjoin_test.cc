@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "gen/stream_generator.h"
@@ -166,6 +170,79 @@ TEST(PJoinTest, StateStaysBoundedWithPunctuations) {
   EXPECT_GT(join.counters().Get("purged_tuples") +
                 join.counters().Get("otf_drops"),
             1000);
+}
+
+// One routed batch through ProcessBatch is the same join as OnElement over
+// the same elements one at a time, with per-element state sampling on:
+// equal result multisets, equal counters, and both state series equal to
+// the state size observed after every element.
+TEST(PJoinTest, BatchMatchesElementPathWithSampling) {
+  DomainSpec d;
+  d.window_size = 16;
+  StreamSpec spec;
+  spec.num_tuples = 1500;
+  spec.punct_mean_interarrival_tuples = 10;
+  GeneratedStreams g = GenerateStreams(d, spec, spec, 33);
+
+  JoinOptions opts;
+  opts.num_partitions = 8;
+  opts.state_sample_interval = 1;
+  opts.runtime.memory_threshold_tuples = 300;  // relocation inside the run
+  PJoin batched(g.schema_a, g.schema_b, opts);
+  PJoin single(g.schema_a, g.schema_b, opts);
+  std::vector<std::string> batched_rows;
+  std::vector<std::string> single_rows;
+  batched.set_result_callback(
+      [&](const Tuple& t) { batched_rows.push_back(t.ToString()); });
+  single.set_result_callback(
+      [&](const Tuple& t) { single_rows.push_back(t.ToString()); });
+
+  // Interleave by arrival and hash each tuple's key, as the router does.
+  std::vector<const StreamElement*> elements;
+  std::vector<int8_t> sides;
+  std::vector<uint64_t> hashes;
+  size_t ia = 0;
+  size_t ib = 0;
+  while (ia < g.a.size() || ib < g.b.size()) {
+    const bool take_a =
+        ib >= g.b.size() ||
+        (ia < g.a.size() && g.a[ia].arrival() <= g.b[ib].arrival());
+    const int side = take_a ? 0 : 1;
+    const StreamElement& e = take_a ? g.a[ia++] : g.b[ib++];
+    elements.push_back(&e);
+    sides.push_back(static_cast<int8_t>(side));
+    hashes.push_back(
+        e.is_tuple() ? batched.state(side).KeyOf(e.tuple()).Hash() : 0);
+  }
+  ASSERT_TRUE(batched
+                  .ProcessBatch(ElementBatch{elements.data(), sides.data(),
+                                             hashes.data(), elements.size()})
+                  .ok());
+  // The series per-element sampling must produce, observed from outside.
+  TimeSeries observed(opts.state_sample_interval);
+  for (size_t i = 0; i < elements.size(); ++i) {
+    ASSERT_TRUE(single.OnElement(sides[i], *elements[i]).ok());
+    observed.Record(single.last_arrival(), single.total_state_tuples());
+  }
+
+  std::sort(batched_rows.begin(), batched_rows.end());
+  std::sort(single_rows.begin(), single_rows.end());
+  EXPECT_EQ(batched_rows, single_rows);
+  EXPECT_EQ(batched_rows,
+            ReferenceJoinRows(g.a, g.b, batched.output_schema(), 0, 0));
+  EXPECT_EQ(batched.counters().counters(), single.counters().counters());
+  EXPECT_GT(batched.counters().Get("purged_tuples"), 0);
+  EXPECT_GT(batched.counters().Get("relocations"), 0);
+  const std::vector<Sample>& want = observed.samples();
+  ASSERT_FALSE(want.empty());
+  for (const PJoin* join : {&batched, &single}) {
+    const std::vector<Sample>& got = join->state_series().samples();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].time, want[i].time) << i;
+      EXPECT_EQ(got[i].value, want[i].value) << i;
+    }
+  }
 }
 
 TEST(PJoinTest, RegistryTableListsComponents) {

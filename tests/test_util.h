@@ -56,9 +56,6 @@ inline RunResult RunJoin(JoinOperator* join,
                          const std::vector<StreamElement>& right,
                          TimeMicros stall_gap = 0) {
   RunResult out;
-  const size_t left_width =
-      join->output_schema()->num_fields();  // placeholder to silence unused
-  (void)left_width;
   join->set_result_callback([&out](const Tuple& t) {
     // Split the concatenated tuple back into its halves via ToString of the
     // whole row; the canonical key is just the row text.
