@@ -24,6 +24,7 @@ TuneRun Run(const GeneratedStreams& g, int64_t static_threshold,
             bool adaptive) {
   JoinOptions opts;
   opts.runtime.purge_threshold = static_threshold;
+  opts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
   PJoin join(g.schema_a, g.schema_b, opts);
   PurgeThresholdTuner::Options topts;
   topts.interval = 500;

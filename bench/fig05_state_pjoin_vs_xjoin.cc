@@ -25,6 +25,7 @@ int main() {
   JoinOptions popts;
   EnableStateSampling(&popts);
   popts.runtime.purge_threshold = 1;  // eager purge (PJoin-1)
+  popts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
   PJoin pjoin(g.schema_a, g.schema_b, popts);
   RunStats ps = RunExperiment(&pjoin, g);
 

@@ -22,6 +22,7 @@ int main() {
     JoinOptions opts;
     EnableStateSampling(&opts);
     opts.runtime.purge_threshold = 1;
+    opts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
     PJoin join(g.schema_a, g.schema_b, opts);
     runs.push_back(RunExperiment(&join, g));
     horizon = std::max(horizon, runs.back().stream_micros);

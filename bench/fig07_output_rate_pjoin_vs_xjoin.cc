@@ -38,6 +38,7 @@ int main() {
   RunStats xs = RunExperiment(&xjoin, g);
   JoinOptions popts;
   popts.runtime.purge_threshold = 1;
+  popts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
   popts.indexed_probe = false;
   PJoin pjoin(g.schema_a, g.schema_b, popts);
   RunStats ps = RunExperiment(&pjoin, g);

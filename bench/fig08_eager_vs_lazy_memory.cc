@@ -20,6 +20,7 @@ int main() {
     JoinOptions opts;
     EnableStateSampling(&opts);
     opts.runtime.purge_threshold = threshold;
+    opts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
     PJoin join(g.schema_a, g.schema_b, opts);
     return RunExperiment(&join, g);
   };

@@ -25,6 +25,7 @@ int main() {
     JoinOptions opts;
     EnableStateSampling(&opts);
     opts.runtime.purge_threshold = t;
+    opts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
     // The figure's probe-vs-purge tradeoff is the paper's scan cost model;
     // indexed probing would flatten the lazy-threshold probe penalty.
     opts.indexed_probe = false;

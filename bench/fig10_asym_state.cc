@@ -26,6 +26,7 @@ int main() {
     JoinOptions opts;
     EnableStateSampling(&opts);
     opts.runtime.purge_threshold = 1;
+    opts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
     PJoin join(g.schema_a, g.schema_b, opts);
     TimeSeries* a_series = &a_states[i];
     TimeSeries* b_series = &b_states[i];

@@ -22,6 +22,7 @@ int main() {
     GeneratedStreams g = cfg.Generate();
     JoinOptions opts;
     opts.runtime.purge_threshold = 1;
+    opts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
     PJoin join(g.schema_a, g.schema_b, opts);
     runs.push_back(RunExperiment(&join, g));
     purge_runs.push_back(runs.back().counters.Get("purge_runs"));

@@ -27,6 +27,7 @@ int main() {
   auto run_pjoin = [&](int64_t threshold) {
     JoinOptions opts;
     opts.runtime.purge_threshold = threshold;
+    opts.purge_mode = PurgeMode::kScan;  // the paper's scan purge cost
     opts.indexed_probe = false;
     PJoin join(g.schema_a, g.schema_b, opts);
     return RunExperiment(&join, g);

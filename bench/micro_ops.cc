@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot operations: pattern
-// matching, punctuation-set probing, memory-join probing, purge scanning,
-// index building, tuple-entry serialization, the SPSC ring transport, and
-// batched vs per-element join dispatch.
+// matching, punctuation-set probing, memory-join probing, purge and index
+// building (scanning and key-addressed), tuple-entry serialization, the SPSC
+// ring transport, and batched vs per-element join dispatch.
 
 #include <benchmark/benchmark.h>
 
@@ -187,6 +187,52 @@ void BM_IndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_IndexBuild)->Arg(1000)->Arg(10000);
+
+// ---- Key-addressed purge and index build ----
+//
+// Arg = state size; every key holds kKeyedRun entries, so the work one
+// punctuation names stays the same while the state grows. Per-op time should
+// be flat in Arg, against BM_PurgeScan and BM_IndexBuild.
+
+constexpr int64_t kKeyedRun = 4;
+
+void BM_PurgeKeyed(benchmark::State& state) {
+  const int64_t keys = state.range(0) / kKeyedRun;
+  HashState st = MakeState(state.range(0), keys);
+  int64_t next = 0;
+  for (auto _ : state) {
+    // Purge one key through its chain, then put its entries back so the
+    // state keeps its size.
+    const Value key(next++ % keys);
+    const uint64_t key_hash = key.Hash();
+    int64_t examined = 0;
+    std::vector<TupleEntry> purged = st.ExtractMemoryKey(
+        st.PartitionOfHash(key_hash), key, key_hash, &examined);
+    benchmark::DoNotOptimize(examined);
+    for (TupleEntry& e : purged) st.InsertMemory(std::move(e));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PurgeKeyed)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_IndexBuildKeyed(benchmark::State& state) {
+  const int64_t keys = state.range(0) / kKeyedRun;
+  HashState st = MakeState(state.range(0), keys);
+  PunctuationSet ps(0);
+  int64_t next = 0;
+  for (auto _ : state) {
+    // One constant-key punctuation per build, as eager index building does.
+    const Value key(next++ % keys);
+    const Result<int64_t> pid =
+        ps.Add(Punctuation::ForAttribute(2, 0, Pattern::Constant(key)), 0);
+    PJOIN_DCHECK(pid.ok());
+    benchmark::DoNotOptimize(
+        PunctuationIndexer::BuildIndex(&ps, &st, nullptr));
+    ps.Remove(pid.value());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IndexBuildKeyed)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_TupleEntrySerialize(benchmark::State& state) {
   TupleEntry e;

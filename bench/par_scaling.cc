@@ -205,6 +205,10 @@ JoinOptions BenchJoinOptions(bool indexed_probe, int64_t memcap = 0) {
   JoinOptions opts;
   opts.num_partitions = 16;
   opts.indexed_probe = indexed_probe;
+  // The paper's scan purge, as in BENCH_par_scaling.json: sharding splits
+  // its per-punctuation state scan, which is part of what the compound
+  // gate credits to parallelism (docs/PERFORMANCE.md).
+  opts.purge_mode = PurgeMode::kScan;
   if (memcap > 0) opts.runtime.memory_threshold_tuples = memcap;
   return opts;
 }

@@ -1,6 +1,8 @@
 #include "join/hash_state.h"
 
+#include <algorithm>
 #include <bit>
+#include <functional>
 
 namespace pjoin {
 namespace {
@@ -85,6 +87,61 @@ void HashState::InsertMemory(TupleEntry entry) {
     part.index_next.push_back(part.index_heads[b]);
     part.index_heads[b] = i;
   }
+}
+
+std::vector<TupleEntry> HashState::ExtractMemoryKey(int p, const Value& key,
+                                                    uint64_t key_hash,
+                                                    int64_t* examined) {
+  Partition& part = partition(p);
+  if (!indexed_) {
+    *examined += static_cast<int64_t>(part.memory.size());
+    return ExtractMemoryMatching(
+        p, [&](const TupleEntry& e) { return KeyOf(e.tuple) == key; });
+  }
+  if (part.index_heads.empty()) return {};
+  // Unlink every match from the key's chain first, so the slot moves below
+  // never meet a half-removed chain.
+  std::vector<uint32_t> victims;
+  uint32_t* link =
+      &part.index_heads[IndexBucket(key_hash, part.index_shift)];
+  while (*link != kIndexNil) {
+    const uint32_t i = *link;
+    ++*examined;
+    const TupleEntry& e = part.memory[i];
+    if (e.key_hash == key_hash && KeyOf(e.tuple) == key) {
+      *link = part.index_next[i];
+      victims.push_back(i);
+    } else {
+      link = &part.index_next[i];
+    }
+  }
+  // Fill holes from the highest slot down: the last entry, which moves into
+  // a hole, is then never itself a victim.
+  std::sort(victims.begin(), victims.end(), std::greater<>());
+  std::vector<TupleEntry> extracted;
+  extracted.reserve(victims.size());
+  for (uint32_t i : victims) {
+    const int64_t bytes =
+        static_cast<int64_t>(part.memory[i].tuple.ByteSize());
+    memory_bytes_ -= bytes;
+    part.memory_bytes -= bytes;
+    extracted.push_back(std::move(part.memory[i]));
+    const uint32_t last = static_cast<uint32_t>(part.memory.size() - 1);
+    if (i != last) {
+      uint32_t* to_last = &part.index_heads[IndexBucket(
+          part.memory[last].key_hash, part.index_shift)];
+      while (*to_last != last) to_last = &part.index_next[*to_last];
+      *to_last = i;
+      part.index_next[i] = part.index_next[last];
+      part.memory[i] = std::move(part.memory[last]);
+    }
+    part.memory.pop_back();
+    part.index_next.pop_back();
+  }
+  memory_tuples_ -= static_cast<int64_t>(extracted.size());
+  PJOIN_DCHECK(memory_tuples_ >= 0);
+  PJOIN_DCHECK(memory_bytes_ >= 0);
+  return extracted;
 }
 
 const std::vector<TupleEntry>& HashState::memory(int p) const {

@@ -6,13 +6,16 @@
 // against the opposite stream's disk portion. Probe history per partition
 // supports XJoin-style timestamp duplicate avoidance.
 //
-// The memory portion keeps the paper's append-ordered vector (purge and
-// index-build passes still scan it), but probing no longer does: each
-// partition maintains a hash index over the vector — bucket heads plus a
-// per-entry chain link, keyed by the entry's cached 64-bit join-key hash —
-// so a probe touches only the entries of its own chain instead of the whole
-// bucket. The index is maintained on insert, rebuilt after extraction, and
-// dropped when a partition is flushed to disk.
+// The memory portion of a partition is a vector of entries with a hash
+// index over it: bucket heads plus a per-entry chain link, keyed by the
+// entry's cached 64-bit join-key hash. Work that names one key — a probe, a
+// constant-key purge, a constant-key index build — walks only that key's
+// chain. A key purge unlinks its matches and swap-removes them, so the
+// vector is not in arrival order once a key has been purged. The paper's
+// scan passes (PurgeMode::kScan, range and wildcard punctuations, the
+// spill manager's early purge) still visit the whole vector and rebuild the
+// index after extracting. The index is maintained on insert and dropped
+// when a partition is flushed to disk.
 
 #ifndef PJOIN_JOIN_HASH_STATE_H_
 #define PJOIN_JOIN_HASH_STATE_H_
@@ -20,6 +23,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -64,10 +68,11 @@ class HashState : public SpillableState {
   /// join-key hash in the entry and linking it into the partition's index.
   void InsertMemory(TupleEntry entry);
 
-  /// The in-memory bucket of partition `p` in insertion order (purge and
-  /// index-build passes scan this vector; probing should use
-  /// ForEachMemoryMatch). Mutating entry keys through the non-const
-  /// accessor would desynchronize the index; pid/timestamp updates are fine.
+  /// The in-memory bucket of partition `p` (scan passes visit this vector;
+  /// key-addressed work should use ForEachMemoryMatch). Insertion order
+  /// holds only until ExtractMemoryKey swap-removes an entry. Mutating
+  /// entry keys through the non-const accessor would desynchronize the
+  /// index; pid/timestamp updates are fine.
   const std::vector<TupleEntry>& memory(int p) const;
   std::vector<TupleEntry>& memory(int p);
 
@@ -98,6 +103,26 @@ class HashState : public SpillableState {
     }
     return examined;
   }
+
+  /// ForEachMemoryMatch for callers that update the matches' pids or
+  /// timestamps (index build); `fn` must not change an entry's key.
+  template <typename Fn>
+  int64_t ForEachMemoryMatch(int p, const Value& key, uint64_t key_hash,
+                             Fn&& fn) {
+    return std::as_const(*this).ForEachMemoryMatch(
+        p, key, key_hash,
+        [&fn](const TupleEntry& e) { fn(const_cast<TupleEntry&>(e)); });
+  }
+
+  /// Removes and returns the memory entries of partition `p` whose join key
+  /// equals `key` (hash supplied by the caller), walking only the key's
+  /// chain: each match is unlinked, then the partition's last entry moves
+  /// into its slot and only that entry's link is rewritten. Adds the
+  /// entries examined to `*examined`. An unindexed state falls back to
+  /// ExtractMemoryMatching over the partition.
+  std::vector<TupleEntry> ExtractMemoryKey(int p, const Value& key,
+                                           uint64_t key_hash,
+                                           int64_t* examined);
 
   /// Removes and returns all memory entries of partition `p` for which
   /// `pred` holds, preserving order of the kept entries. The partition's

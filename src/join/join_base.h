@@ -24,9 +24,11 @@ namespace pjoin {
 enum class PurgeMode {
   /// Scan the memory state applying setMatch (the paper's algorithm; cost
   /// proportional to state size — this is what makes eager purge expensive).
+  /// The figure benches pin it, since their shape checks assume this cost.
   kScan,
-  /// Use the punctuation set's constant-pattern hash index to jump straight
-  /// to purgeable buckets (an extension beyond the paper; see ablation A2).
+  /// Visit only what each new punctuation names: a constant key unlinks its
+  /// chain in the partition index, a range or wildcard scans (an extension
+  /// beyond the paper; see ablation A4). The default.
   kIndexed,
 };
 
@@ -81,7 +83,7 @@ struct JoinOptions {
   /// instead of aborting the join.
   ViolationPolicy violation_policy = ViolationPolicy::kIgnore;
   /// PJoin purge strategy implementation.
-  PurgeMode purge_mode = PurgeMode::kScan;
+  PurgeMode purge_mode = PurgeMode::kIndexed;
   /// Probe the memory portions through the per-partition hash index
   /// (default). False restores the paper's linear bucket scan — used by the
   /// figure benches, whose cost-model shape checks assume scan probing, and

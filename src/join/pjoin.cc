@@ -1,6 +1,7 @@
 #include "join/pjoin.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -168,6 +169,14 @@ Status PJoin::OnTupleHashed(int side, const Tuple& tuple,
     }
   } else {
     InsertTuple(side, tuple, tick, key_hash);
+    // Without on-the-fly drop a covered tuple is stored. The key-addressed
+    // purge only visits the keys of new punctuations, so queue this key for
+    // the next purge run (the scan purge finds it by itself).
+    if (!options().drop_on_the_fly &&
+        options().purge_mode == PurgeMode::kIndexed &&
+        punct_sets_[1 - side]->SetMatchKey(own.KeyOf(tuple))) {
+      late_covered_keys_[side].push_back(own.KeyOf(tuple));
+    }
   }
 
   PJOIN_RETURN_NOT_OK(monitor_->OnStateSizeChanged(memory_state_tuples(),
@@ -253,7 +262,15 @@ Status PJoin::PurgeState(int side) {
   HashState& own = mutable_state(side);
   HashState& opp = mutable_state(1 - side);
   PunctuationSet& opp_ps = *punct_sets_[1 - side];
-  if (opp_ps.empty()) return Status::OK();
+  const bool scan = options().purge_mode == PurgeMode::kScan;
+  if (scan && opp_ps.empty()) return Status::OK();
+  // Key patterns of the opposite punctuations this purge has not applied
+  // yet, followed by the keys of covered tuples stored since the last run.
+  std::vector<Pattern> keys = opp_ps.TakeUnappliedForPurge();
+  for (Value& key : std::exchange(late_covered_keys_[side], {})) {
+    keys.push_back(Pattern::Constant(std::move(key)));
+  }
+  if (!scan && keys.empty()) return Status::OK();
   const int64_t purge_tick = NextTick();
 
   auto dispose = [&](int p, std::vector<TupleEntry> extracted) {
@@ -270,43 +287,37 @@ Status PJoin::PurgeState(int side) {
       }
     }
   };
-
-  if (options().purge_mode == PurgeMode::kScan) {
-    // The paper's algorithm: scan the memory state applying setMatch. The
-    // scan cost, proportional to the state size, is what makes eager purge
-    // expensive (Fig 9).
-    opp_ps.TakeUnappliedForPurge();  // mark them applied
+  auto scan_partitions = [&](auto&& pred) {
     for (int p = 0; p < own.num_partitions(); ++p) {
       counters().Add("purge_scanned",
                      static_cast<int64_t>(own.memory(p).size()));
-      dispose(p, own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
-        return opp_ps.SetMatchKey(own.KeyOf(e.tuple));
-      }));
+      dispose(p, own.ExtractMemoryMatching(p, pred));
     }
-  } else {
-    // Indexed purge (extension): jump straight to the partitions named by
-    // the not-yet-applied punctuations. (Pair with drop_on_the_fly: covered
-    // tuples arriving after a punctuation was applied are handled there.)
-    for (int64_t pid : opp_ps.TakeUnappliedForPurge()) {
-      const PunctEntry* pe = opp_ps.Find(pid);
-      if (pe == nullptr || !pe->key_only) continue;
-      const Pattern& pattern = pe->punct.pattern(opp.key_index());
-      if (pattern.IsConstant()) {
-        const int p = own.PartitionOf(pattern.constant());
-        counters().Add("purge_scanned",
-                       static_cast<int64_t>(own.memory(p).size()));
-        dispose(p, own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
-          return own.KeyOf(e.tuple) == pattern.constant();
-        }));
-      } else {
-        for (int p = 0; p < own.num_partitions(); ++p) {
-          counters().Add("purge_scanned",
-                         static_cast<int64_t>(own.memory(p).size()));
-          dispose(p, own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
-            return pattern.Matches(own.KeyOf(e.tuple));
-          }));
-        }
-      }
+  };
+
+  if (scan) {
+    // The paper's algorithm: scan the memory state applying setMatch. The
+    // scan cost, proportional to the state size, is what makes eager purge
+    // expensive (Fig 9).
+    scan_partitions([&](const TupleEntry& e) {
+      return opp_ps.SetMatchKey(own.KeyOf(e.tuple));
+    });
+    return Status::OK();
+  }
+  // Key-addressed purge (extension): a constant key unlinks its own chain
+  // in the one partition it hashes to; a range or wildcard pattern scans.
+  for (const Pattern& pattern : keys) {
+    if (pattern.IsConstant()) {
+      const uint64_t key_hash = pattern.constant().Hash();
+      const int p = own.PartitionOfHash(key_hash);
+      int64_t examined = 0;
+      dispose(p, own.ExtractMemoryKey(p, pattern.constant(), key_hash,
+                                      &examined));
+      counters().Add("purge_scanned", examined);
+    } else {
+      scan_partitions([&](const TupleEntry& e) {
+        return pattern.Matches(own.KeyOf(e.tuple));
+      });
     }
   }
   return Status::OK();

@@ -116,6 +116,9 @@ class PJoin : public JoinOperator {
   /// Per partition: tick of the last disk-x-disk pass (both-disk pairs with
   /// dts at or before it are already joined).
   std::vector<int64_t> disk_pass_tick_;
+  /// Per side: keys of covered tuples stored since the last purge (only
+  /// with drop_on_the_fly off under PurgeMode::kIndexed).
+  std::vector<Value> late_covered_keys_[2];
   std::vector<Tuple> quarantined_tuples_[2];
   std::vector<Punctuation> quarantined_puncts_[2];
   bool extra_gauges_bound_ = false;

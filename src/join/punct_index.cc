@@ -1,5 +1,7 @@
 #include "join/punct_index.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 
 namespace pjoin {
@@ -18,27 +20,57 @@ int64_t PunctuationIndexer::BuildIndex(PunctuationSet* ps, HashState* state,
 
   int64_t assignments = 0;
   int64_t scanned = 0;
-  auto index_entries = [&](std::vector<TupleEntry>& entries) {
-    for (TupleEntry& t : entries) {
-      ++scanned;
-      if (t.pid != kNullPid) continue;
-      for (PunctEntry* p : index_set) {
-        if (p->punct.Matches(t.tuple)) {
-          t.pid = p->pid;
-          ++p->match_count;
-          ++assignments;
-          break;
-        }
-      }
-    }
+  auto assign = [&](TupleEntry& t, PunctEntry* p) {
+    t.pid = p->pid;
+    ++p->match_count;
+    ++assignments;
   };
 
-  for (int p = 0; p < state->num_partitions(); ++p) {
-    index_entries(state->memory(p));
-    // The purge buffer is still part of the state (its tuples can produce
-    // further results against the opposite disk portion), so it must hold
-    // propagation back as well.
-    index_entries(state->purge_buffer(p));
+  // A punctuation with a constant join key can only match entries of that
+  // key. When the whole batch is of that kind, visit the punctuations in
+  // arrival order and walk each key's chain (plus its partition's purge
+  // buffer): an entry still unassigned when a punctuation reaches it
+  // matched none of the earlier ones, so it gets the same first-match pid
+  // as the scan below gives it.
+  const size_t key_index = state->key_index();
+  const bool keyed =
+      std::all_of(index_set.begin(), index_set.end(), [&](PunctEntry* p) {
+        return p->punct.pattern(key_index).IsConstant();
+      });
+  if (keyed) {
+    for (PunctEntry* p : index_set) {
+      const Value& key = p->punct.pattern(key_index).constant();
+      const uint64_t key_hash = key.Hash();
+      const int part = state->PartitionOfHash(key_hash);
+      auto visit = [&](TupleEntry& t) {
+        if (t.pid == kNullPid && p->punct.Matches(t.tuple)) assign(t, p);
+      };
+      scanned += state->ForEachMemoryMatch(part, key, key_hash, visit);
+      for (TupleEntry& t : state->purge_buffer(part)) {
+        ++scanned;
+        if (t.key_hash == key_hash && state->KeyOf(t.tuple) == key) visit(t);
+      }
+    }
+  } else {
+    auto index_entries = [&](std::vector<TupleEntry>& entries) {
+      for (TupleEntry& t : entries) {
+        ++scanned;
+        if (t.pid != kNullPid) continue;
+        for (PunctEntry* p : index_set) {
+          if (p->punct.Matches(t.tuple)) {
+            assign(t, p);
+            break;
+          }
+        }
+      }
+    };
+    for (int p = 0; p < state->num_partitions(); ++p) {
+      index_entries(state->memory(p));
+      // The purge buffer is still part of the state (its tuples can produce
+      // further results against the opposite disk portion), so it must hold
+      // propagation back as well.
+      index_entries(state->purge_buffer(p));
+    }
   }
 
   for (PunctEntry* p : index_set) p->indexed = true;

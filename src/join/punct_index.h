@@ -19,7 +19,10 @@ class PunctuationIndexer {
   /// purge buffers: every state entry with pid == kNullPid is evaluated
   /// against the not-yet-indexed punctuations of `ps`, in arrival order, and
   /// gets the pid of the first match; that punctuation's count is
-  /// incremented. All scanned punctuations are then marked indexed.
+  /// incremented. All scanned punctuations are then marked indexed. When
+  /// every such punctuation has a constant join-key pattern, only those
+  /// keys' chains and their partitions' purge buffers are visited instead
+  /// of the whole state; the pids assigned are the same.
   /// Returns the number of pid assignments. Counters updated:
   /// index_scans, index_scanned_tuples, index_assignments.
   static int64_t BuildIndex(PunctuationSet* ps, HashState* state,

@@ -42,21 +42,17 @@ Result<int64_t> PunctuationSet::Add(Punctuation punct, TimeMicros arrival) {
       break;
     }
   }
+  if (entry.key_only) unapplied_purge_keys_.push_back(attr_pattern);
   entry.punct = std::move(punct);
   entries_.emplace(pid, std::move(entry));
-  unapplied_purge_pids_.push_back(pid);
   unindexed_pids_.push_back(pid);
   return pid;
 }
 
-std::vector<int64_t> PunctuationSet::TakeUnappliedForPurge() {
-  std::vector<int64_t> pids = std::move(unapplied_purge_pids_);
-  unapplied_purge_pids_.clear();
-  for (int64_t pid : pids) {
-    PunctEntry* entry = Find(pid);
-    if (entry != nullptr) entry->purge_applied = true;
-  }
-  return pids;
+std::vector<Pattern> PunctuationSet::TakeUnappliedForPurge() {
+  std::vector<Pattern> keys = std::move(unapplied_purge_keys_);
+  unapplied_purge_keys_.clear();
+  return keys;
 }
 
 std::vector<int64_t> PunctuationSet::TakeUnindexed() {

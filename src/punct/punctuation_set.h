@@ -38,9 +38,6 @@ struct PunctEntry {
   /// Only such punctuations may purge the *opposite* state: they alone
   /// guarantee that no future tuple of this stream carries a covered key.
   bool key_only = false;
-  /// True once the state purge has applied this punctuation (used by the
-  /// indexed purge mode).
-  bool purge_applied = false;
 };
 
 class PunctuationSet {
@@ -86,11 +83,11 @@ class PunctuationSet {
   /// Pids in arrival order.
   std::vector<int64_t> PidsInOrder() const;
 
-  /// Drains the queue of punctuations added since the last call, in arrival
-  /// order (pids of already-removed punctuations are skipped by callers via
-  /// Find). Used by the state purge to touch each punctuation once instead
-  /// of rescanning the whole set, and marks them purge_applied.
-  std::vector<int64_t> TakeUnappliedForPurge();
+  /// Drains the join-attribute patterns of the key-only punctuations added
+  /// since the last call, in arrival order — the work of the next purge of
+  /// the opposite state. Patterns outlive their punctuation, so one
+  /// propagated before the purge ran is still applied.
+  std::vector<Pattern> TakeUnappliedForPurge();
 
   /// Drains the queue of punctuations that index building has not yet
   /// processed, in arrival order. BuildIndex marks them indexed.
@@ -125,7 +122,7 @@ class PunctuationSet {
   std::unordered_set<Value, ValueHash> retained_constants_;
   std::vector<Pattern> retained_patterns_;
   // Work queues consumed by the purge and index-build components.
-  std::vector<int64_t> unapplied_purge_pids_;
+  std::vector<Pattern> unapplied_purge_keys_;
   std::vector<int64_t> unindexed_pids_;
 };
 

@@ -280,9 +280,65 @@ TEST(PJoinTest, IndexedPurgeModeMatchesScanResults) {
   auto idx_run = RunJoin(&idx_join, g.a, g.b);
 
   EXPECT_EQ(scan_run.results, idx_run.results);
+  // Both modes purge the same tuples and release the same punctuations.
+  for (int side = 0; side < 2; ++side) {
+    EXPECT_EQ(scan_join.state(side).total_tuples(),
+              idx_join.state(side).total_tuples());
+  }
+  EXPECT_EQ(scan_join.counters().Get("purged_tuples"),
+            idx_join.counters().Get("purged_tuples"));
+  EXPECT_FALSE(scan_run.punctuations.empty());
+  EXPECT_EQ(scan_run.punctuations, idx_run.punctuations);
   // The indexed mode scans far fewer entries.
   EXPECT_LT(idx_join.counters().Get("purge_scanned"),
             scan_join.counters().Get("purge_scanned"));
+}
+
+// Without on-the-fly drop, a tuple whose key the opposite stream already
+// punctuated is stored. The scan purge finds it at the next purge run; the
+// key-addressed purge must too, though no new punctuation names its key.
+TEST(PJoinTest, KeyedPurgeRemovesLateCoveredTupleWithoutOtf) {
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  // Left: key 2 at 1000, key 1 at 2000. Right: punct(1) at 1500 (before
+  // the key-1 tuple), punct(9) at 3000 (the next purge run).
+  auto left =
+      ElementsBuilder(1000).Tup(KP(sa, 2, 0)).Tup(KP(sa, 1, 0)).Finish();
+  auto right =
+      ElementsBuilder(1500).Punct(KeyPunct(1)).Punct(KeyPunct(9)).Finish();
+  for (PurgeMode mode : {PurgeMode::kScan, PurgeMode::kIndexed}) {
+    JoinOptions opts;
+    opts.purge_mode = mode;
+    opts.drop_on_the_fly = false;
+    PJoin join(sa, sb, opts);
+    RunJoin(&join, left, right);
+    EXPECT_EQ(join.state(0).total_tuples(), 1);
+    EXPECT_EQ(join.counters().Get("purged_tuples"), 1);
+  }
+}
+
+// A punctuation can be propagated (its own state holds no match) before the
+// lazy purge of the opposite state runs; that purge must still apply it.
+TEST(PJoinTest, KeyedPurgeAppliesPunctuationPropagatedBeforePurge) {
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  auto left = ElementsBuilder(10).Tup(KP(sa, 1, 0)).Tup(KP(sa, 2, 0)).Finish();
+  auto right = ElementsBuilder(10000)
+                   .Punct(KeyPunct(1))
+                   .Punct(KeyPunct(5))
+                   .Punct(KeyPunct(6))
+                   .Finish();
+  for (PurgeMode mode : {PurgeMode::kScan, PurgeMode::kIndexed}) {
+    JoinOptions opts;
+    opts.purge_mode = mode;
+    opts.runtime.purge_threshold = 3;
+    opts.runtime.propagate_count_threshold = 1;
+    PJoin join(sa, sb, opts);
+    auto run = RunJoin(&join, left, right);
+    EXPECT_EQ(run.punctuations.size(), 3u);
+    EXPECT_EQ(join.state(0).total_tuples(), 1);
+    EXPECT_EQ(join.counters().Get("purged_tuples"), 1);
+  }
 }
 
 TEST(PJoinTest, ValidatePrefixRejectsBadStream) {

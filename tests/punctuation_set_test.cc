@@ -178,9 +178,10 @@ TEST(PunctuationSetTest, WorkQueuesDrainOnce) {
   ASSERT_TRUE(ps.Add(KeyPunct(1), 0).ok());
   ASSERT_TRUE(ps.Add(KeyPunct(2), 1).ok());
   auto purge_batch = ps.TakeUnappliedForPurge();
-  EXPECT_EQ(purge_batch, (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(purge_batch,
+            (std::vector<Pattern>{Pattern::Constant(Value(int64_t{1})),
+                                  Pattern::Constant(Value(int64_t{2}))}));
   EXPECT_TRUE(ps.TakeUnappliedForPurge().empty());
-  EXPECT_TRUE(ps.Find(0)->purge_applied);
 
   auto index_batch = ps.TakeUnindexed();
   EXPECT_EQ(index_batch, (std::vector<int64_t>{0, 1}));
@@ -188,8 +189,23 @@ TEST(PunctuationSetTest, WorkQueuesDrainOnce) {
 
   // New additions re-enter both queues.
   ASSERT_TRUE(ps.Add(KeyPunct(3), 2).ok());
-  EXPECT_EQ(ps.TakeUnappliedForPurge(), (std::vector<int64_t>{2}));
+  EXPECT_EQ(ps.TakeUnappliedForPurge(),
+            (std::vector<Pattern>{Pattern::Constant(Value(int64_t{3}))}));
   EXPECT_EQ(ps.TakeUnindexed(), (std::vector<int64_t>{2}));
+}
+
+TEST(PunctuationSetTest, PurgeQueueKeepsKeyOnlyPatternsPastRemoval) {
+  PunctuationSet ps(0);
+  const int64_t pid = ps.Add(KeyPunct(1), 0).value();
+  // Not key-only: it can never purge the opposite state, so it is not queued.
+  ASSERT_TRUE(ps.Add(Punctuation({Pattern::Constant(Value(int64_t{2})),
+                                  Pattern::Constant(Value(int64_t{7}))}),
+                     1)
+                  .ok());
+  // A punctuation propagated before the purge ran still owes its purge.
+  ps.RemoveRetainingCoverage(pid);
+  EXPECT_EQ(ps.TakeUnappliedForPurge(),
+            (std::vector<Pattern>{Pattern::Constant(Value(int64_t{1}))}));
 }
 
 TEST(PunctuationSetTest, ByteSizeGrowsWithEntries) {
