@@ -1,7 +1,7 @@
 // Ablation A9: serial vs threaded execution. The threaded run is a
-// ParallelJoinPipeline with one shard: producer threads publish the inputs
-// over bounded SPSC rings, the router merges them in arrival order, and a
-// single shard worker runs the join — the deployment shape of a real
+// ParallelJoinPipeline with one shard: the router merges the two inputs in
+// arrival order and hands them over a bounded SPSC ring to a single shard
+// worker that runs the join — the deployment shape of a real
 // stream system without the partitioning. Results must be identical; this
 // measures the coordination overhead and the stall-driven background work.
 

@@ -18,14 +18,10 @@
 //   --check    exit non-zero if any oracle fails (CI perf-smoke mode).
 //   --reps     wall-clock repetitions per configuration (default 3); the
 //              best run is reported, de-noising the perf gate's ratios.
-//   --ring     capacity of every pipeline ring (input and shard) in
-//              elements; 0 = library defaults. CI's live-scrape smoke
-//              shrinks the rings so backpressure and spin-park paths
-//              demonstrably fire even on a small workload.
-//   --punct_barrier  dispatch broadcast punctuations behind an epoch
-//              barrier (router waits for all shards to drain). Fully
-//              synchronizing, results identical; shards that drain first
-//              go dry, so the smoke can assert pjoin_shard_spin_parks > 0.
+//   --ring     capacity of every shard ring in elements; 0 = library
+//              defaults. CI's live-scrape smoke shrinks the rings so
+//              backpressure and spin-park paths demonstrably fire even on
+//              a small workload.
 //   --stall_polls=N  empty polls before a shard runs stall work and parks
 //              (default: library's). The smoke sets 1 so every dry moment
 //              takes the spin-then-park slow path and its counter moves.
@@ -99,11 +95,10 @@ struct Cli {
   // estimator, and it is applied to every configuration alike, so the
   // cross-run ratios the perf gate compares stay fair.
   int reps = 3;
-  // Ring capacity override (elements) for every SPSC edge; 0 keeps the
-  // ParallelPipelineOptions defaults. Small values force the backpressure
+  // Shard ring capacity override (elements); 0 keeps the
+  // ParallelPipelineOptions default. Small values force the backpressure
   // and park paths, which CI's live scrape asserts via their counters.
   int64_t ring = 0;
-  bool punct_barrier = false;
   int64_t stall_polls = 0;  // 0 = ParallelPipelineOptions default
   std::string out = "BENCH_par_scaling.json";
   std::string trace;    // empty = tracing not started
@@ -144,8 +139,6 @@ Cli ParseCli(int argc, char** argv) {
       if (cli.reps < 1) cli.reps = 1;
     } else if (const char* v = value("--ring=")) {
       cli.ring = std::atoll(v);
-    } else if (arg == "--punct_barrier") {
-      cli.punct_barrier = true;
     } else if (const char* v = value("--stall_polls=")) {
       cli.stall_polls = std::atoll(v);
     } else if (const char* v = value("--out=")) {
@@ -253,8 +246,7 @@ Measured RunSingle(const std::string& name, const GeneratedStreams& streams,
 // memory-capped indexed configuration.
 Measured RunParallel(const GeneratedStreams& streams, int shards,
                      bool indexed_probe, int64_t memcap = 0,
-                     int64_t ring_capacity = 0, bool punct_barrier = false,
-                     int64_t stall_polls = 0) {
+                     int64_t ring_capacity = 0, int64_t stall_polls = 0) {
   Measured m;
   m.name = "parallel_x" + std::to_string(shards) +
            (memcap > 0 ? "_spill" : (indexed_probe ? "_indexed" : "_scan"));
@@ -263,10 +255,8 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
   ParallelPipelineOptions popts;
   popts.num_shards = shards;
   if (ring_capacity > 0) {
-    popts.input_buffer_capacity = static_cast<size_t>(ring_capacity);
     popts.shard_queue_capacity = static_cast<size_t>(ring_capacity);
   }
-  popts.punct_barrier = punct_barrier;
   if (stall_polls > 0) popts.stall_polls = stall_polls;
   ParallelJoinPipeline pipeline(
       [&streams, indexed_probe, memcap, shards](int) {
@@ -562,7 +552,6 @@ int Main(int argc, char** argv) {
         [&, shards] { return RunParallel(streams, shards,
                                          /*indexed_probe=*/true,
                                          /*memcap=*/0, cli.ring,
-                                         cli.punct_barrier,
                                          cli.stall_polls); });
   }
   if (!cli.shards.empty()) {
@@ -570,8 +559,7 @@ int Main(int argc, char** argv) {
     // of the parallel_x*_indexed speedup is the pipeline vs the index.
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/false,
-                         /*memcap=*/0, cli.ring, cli.punct_barrier,
-                         cli.stall_polls);
+                         /*memcap=*/0, cli.ring, cli.stall_polls);
     });
   }
   if (cli.memcap > 0 && !cli.shards.empty()) {
@@ -580,8 +568,7 @@ int Main(int argc, char** argv) {
     // is measured (and traced) alongside the in-memory sweep.
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/true,
-                         cli.memcap, cli.ring, cli.punct_barrier,
-                         cli.stall_polls);
+                         cli.memcap, cli.ring, cli.stall_polls);
     });
   }
   std::vector<Measured> measured(configs.size());
@@ -651,7 +638,6 @@ int Main(int argc, char** argv) {
       const Measured again = RunParallel(streams, widest,
                                          /*indexed_probe=*/true,
                                          /*memcap=*/0, cli.ring,
-                                         cli.punct_barrier,
                                          cli.stall_polls);
       all_pass = all_pass && again.oracle == baseline.oracle;
     }

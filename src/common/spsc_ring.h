@@ -1,6 +1,6 @@
 // SpscRing: a bounded lock-free single-producer/single-consumer ring of
 // batches — the transport of the parallel pipeline's dataflow spine
-// (producer→router, router→shard, shard→merger edges; see
+// (router→shard and shard→merger edges; see
 // docs/PERFORMANCE.md "The lock-free spine").
 //
 // The fast path is the relaxed-atomics idiom proven by obs::TraceRing: the

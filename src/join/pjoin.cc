@@ -260,7 +260,6 @@ Status PJoin::RunPurge() {
 
 Status PJoin::PurgeState(int side) {
   HashState& own = mutable_state(side);
-  HashState& opp = mutable_state(1 - side);
   PunctuationSet& opp_ps = *punct_sets_[1 - side];
   const bool scan = options().purge_mode == PurgeMode::kScan;
   if (scan && opp_ps.empty()) return Status::OK();
@@ -273,25 +272,11 @@ Status PJoin::PurgeState(int side) {
   if (!scan && keys.empty()) return Status::OK();
   const int64_t purge_tick = NextTick();
 
-  auto dispose = [&](int p, std::vector<TupleEntry> extracted) {
-    for (TupleEntry& e : extracted) {
-      e.dts = purge_tick;
-      if (opp.disk_tuples(p) > 0) {
-        // The tuple may still join opposite disk-resident tuples: park it in
-        // the purge buffer until the disk join clears it (paper §3.1).
-        own.AddToPurgeBuffer(p, std::move(e));
-        counters().Add("purge_buffered");
-      } else {
-        DiscardEntry(side, e);
-        counters().Add("purged_tuples");
-      }
-    }
-  };
   auto scan_partitions = [&](auto&& pred) {
     for (int p = 0; p < own.num_partitions(); ++p) {
       counters().Add("purge_scanned",
                      static_cast<int64_t>(own.memory(p).size()));
-      dispose(p, own.ExtractMemoryMatching(p, pred));
+      DisposePurged(side, p, own.ExtractMemoryMatching(p, pred), purge_tick);
     }
   };
 
@@ -311,8 +296,10 @@ Status PJoin::PurgeState(int side) {
       const uint64_t key_hash = pattern.constant().Hash();
       const int p = own.PartitionOfHash(key_hash);
       int64_t examined = 0;
-      dispose(p, own.ExtractMemoryKey(p, pattern.constant(), key_hash,
-                                      &examined));
+      DisposePurged(side, p,
+                    own.ExtractMemoryKey(p, pattern.constant(), key_hash,
+                                         &examined),
+                    purge_tick);
       counters().Add("purge_scanned", examined);
     } else {
       scan_partitions([&](const TupleEntry& e) {
@@ -326,7 +313,6 @@ Status PJoin::PurgeState(int side) {
 EarlyPurgeOutcome PJoin::EarlyPurgePartition(int side, int p) {
   EarlyPurgeOutcome out;
   HashState& own = mutable_state(side);
-  HashState& opp = mutable_state(1 - side);
   PunctuationSet& opp_ps = *punct_sets_[1 - side];
   if (opp_ps.empty()) return out;
   const int64_t purge_tick = NextTick();
@@ -334,14 +320,24 @@ EarlyPurgeOutcome PJoin::EarlyPurgePartition(int side, int p) {
       own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
         return opp_ps.SetMatchKey(own.KeyOf(e.tuple));
       });
-  // Same disposal rule as PurgeState: covered tuples that may still join
-  // the opposite disk portion park in the purge buffer, the rest leave the
-  // join entirely (their punctuations' match counts drop).
-  for (TupleEntry& e : extracted) {
-    ++out.tuples;
+  out.tuples = static_cast<int64_t>(extracted.size());
+  for (const TupleEntry& e : extracted) {
     out.bytes += static_cast<int64_t>(e.tuple.ByteSize());
+  }
+  DisposePurged(side, p, std::move(extracted), purge_tick);
+  if (out.tuples > 0) counters().Add("early_purge_passes");
+  return out;
+}
+
+void PJoin::DisposePurged(int side, int p, std::vector<TupleEntry> extracted,
+                          int64_t purge_tick) {
+  HashState& own = mutable_state(side);
+  const bool opp_on_disk = state(1 - side).disk_tuples(p) > 0;
+  for (TupleEntry& e : extracted) {
     e.dts = purge_tick;
-    if (opp.disk_tuples(p) > 0) {
+    if (opp_on_disk) {
+      // The tuple may still join opposite disk-resident tuples: park it in
+      // the purge buffer until the disk join clears it (paper §3.1).
       own.AddToPurgeBuffer(p, std::move(e));
       counters().Add("purge_buffered");
     } else {
@@ -349,8 +345,6 @@ EarlyPurgeOutcome PJoin::EarlyPurgePartition(int side, int p) {
       counters().Add("purged_tuples");
     }
   }
-  if (out.tuples > 0) counters().Add("early_purge_passes");
-  return out;
 }
 
 Status PJoin::RunDiskJoin() {

@@ -84,6 +84,13 @@ class PJoin : public JoinOperator {
   /// disk IO). Returns what was freed.
   EarlyPurgeOutcome EarlyPurgePartition(int side, int p);
 
+  /// Purge disposal shared by PurgeState and EarlyPurgePartition: stamps
+  /// each entry extracted from `side`'s partition `p` with `purge_tick`,
+  /// then parks it in the purge buffer while the opposite partition has
+  /// disk tuples, and otherwise discards it.
+  void DisposePurged(int side, int p, std::vector<TupleEntry> extracted,
+                     int64_t purge_tick);
+
   /// Disk join (§3.2): one full pass over all partitions with disk-resident
   /// or purge-buffered data.
   Status RunDiskJoin();

@@ -51,8 +51,8 @@ struct ParallelJoinPipeline::Shard {
   /// Worker → merger: result/release batches (worker produces, the
   /// router/caller thread consumes).
   SpscRing<OutBatch> out;
-  /// Elements the worker has fully processed; the router's epoch barrier
-  /// compares this against its enqueued count.
+  /// Elements the worker has fully processed (atomic so the depth gauge
+  /// and the /statusz section can compare it against `enqueued`).
   std::atomic<int64_t> processed{0};
   /// Elements the router has pushed (written by the router only; atomic so
   /// the /statusz section can read it live).
@@ -221,23 +221,6 @@ void ParallelJoinPipeline::FlushStaged(int shard) {
   }
 }
 
-void ParallelJoinPipeline::EpochBarrier() {
-  TRACE_SPAN("par", "epoch_barrier");
-  ++epoch_barriers_;
-  while (true) {
-    bool drained = true;
-    for (const auto& shard : shards_) {
-      if (shard->processed.load() < shard->enqueued.load()) {
-        drained = false;
-        break;
-      }
-    }
-    if (drained) return;
-    DrainOutputs();
-    std::this_thread::yield();
-  }
-}
-
 void ParallelJoinPipeline::ShardLoop(Shard* shard) {
   TRACE_SET_THREAD_NAME("shard-" + std::to_string(shard->id));
   JoinOperator* join = shard->join;
@@ -385,10 +368,6 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
           frontier.NoteIngress(side, scheme, s, route_now_us_, punct_desc);
         }
       }
-      if (options_.punct_barrier) {
-        for (int s = 0; s < num_shards(); ++s) FlushStaged(s);
-        EpochBarrier();
-      }
       break;
     }
     case ElementKind::kEndOfStream: {
@@ -400,19 +379,15 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
   }
 }
 
-void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
-                                      SpscRing<InputSpan>* in_right) {
+void ParallelJoinPipeline::RouterLoop(const std::vector<StreamElement>& left,
+                                      const std::vector<StreamElement>& right) {
   TRACE_SET_THREAD_NAME("router");
   TRACE_SPAN("par", "router");
-  SpscRing<InputSpan>* in[2] = {in_left, in_right};
-  InputSpan span[2];
-  size_t pos[2] = {0, 0};
-  // A side's EOS is routed (broadcast) as soon as the router consumes it.
+  const StreamElement* next[2] = {left.data(), right.data()};
+  // A side's EOS is routed (broadcast) as soon as the router consumes it;
+  // Run has checked that both inputs hold one, so `next` never runs past
+  // the end of its vector.
   bool eos[2] = {false, false};
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Gauge in_occupancy[2] = {
-      registry.GetGauge("pjoin_ring_occupancy", "edge=input_l"),
-      registry.GetGauge("pjoin_ring_occupancy", "edge=input_r")};
   int64_t since_drain = 0;
   // Ingress timestamps for latency attribution, refreshed every few
   // dispatches so the clock read amortizes off the routing hot path. The
@@ -421,42 +396,12 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
   route_now_us_ = obs::TraceNowMicros();
   int now_refresh = 0;
 
-  // The head of a side is the next element of its current span, refilled
-  // from the input ring when the span is drained (zero copy throughout:
-  // spans point straight into the caller's vectors).
-  auto head = [&](int side) -> const StreamElement* {
-    if (pos[side] >= span[side].size) {
-      if (!in[side]->TryPop(&span[side])) return nullptr;
-      pos[side] = 0;
-    }
-    return span[side].data + pos[side];
-  };
-
   while (!(eos[0] && eos[1])) {
-    const StreamElement* h0 = eos[0] ? nullptr : head(0);
-    const StreamElement* h1 = eos[1] ? nullptr : head(1);
-    // Merge in global arrival order: only consume a side when the other has
-    // a head to compare against or can never produce an earlier element.
-    const bool done0 = eos[0] || in[0]->exhausted();
-    const bool done1 = eos[1] || in[1]->exhausted();
-    int side = -1;
-    if (h0 != nullptr && (h1 != nullptr
-                              ? h0->arrival() <= h1->arrival()
-                              : done1)) {
-      side = 0;
-    } else if (h1 != nullptr && (h0 != nullptr
-                                     ? h1->arrival() < h0->arrival()
-                                     : done0)) {
-      side = 1;
-    }
-    if (side < 0) {
-      // Nothing dispatchable: both inputs dry. Keep the merge moving.
-      DrainOutputs();
-      std::this_thread::yield();
-      continue;
-    }
-    const StreamElement* e = span[side].data + pos[side];
-    ++pos[side];
+    // Merge in global arrival order; ties go to the left side.
+    const bool take_left =
+        !eos[0] && (eos[1] || next[0]->arrival() <= next[1]->arrival());
+    const int side = take_left ? 0 : 1;
+    const StreamElement* e = next[side]++;
     if (now_refresh-- <= 0) {
       route_now_us_ = obs::TraceNowMicros();
       now_refresh = 63;
@@ -466,21 +411,31 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
     if (++since_drain >= static_cast<int64_t>(options_.batch_size)) {
       since_drain = 0;
       DrainOutputs();
-      in_occupancy[0].Set(static_cast<int64_t>(in[0]->size()));
-      in_occupancy[1].Set(static_cast<int64_t>(in[1]->size()));
     }
   }
   for (int s = 0; s < num_shards(); ++s) {
     FlushStaged(s);
     shards_[static_cast<size_t>(s)]->queue.Close();
   }
-  in_occupancy[0].Set(0);
-  in_occupancy[1].Set(0);
 }
 
 Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
                                  const std::vector<StreamElement>& right) {
   PJOIN_DCHECK(!ran_);
+  // The router consumes each side up to its end-of-stream marker; without
+  // one it would read past the end of the vector. The marker is usually
+  // last, so the search runs from the back.
+  auto has_eos = [](const std::vector<StreamElement>& input) {
+    return std::any_of(input.rbegin(), input.rend(),
+                       [](const StreamElement& e) {
+                         return e.kind() == ElementKind::kEndOfStream;
+                       });
+  };
+  if (!has_eos(left) || !has_eos(right)) {
+    return Status::InvalidArgument(
+        "ParallelJoinPipeline::Run: each input must hold an "
+        "end-of-stream marker");
+  }
   ran_ = true;
   key_index_[0] = joins_[0]->state(0).key_index();
   key_index_[1] = joins_[0]->state(1).key_index();
@@ -549,33 +504,13 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
         return out;
       });
 
-  const size_t input_batches =
-      RingBatches(options_.input_buffer_capacity, options_.batch_size);
-  SpscRing<InputSpan> in_left(input_batches);
-  SpscRing<InputSpan> in_right(input_batches);
-  // Producers publish read-only spans of the caller's vectors — the
-  // elements themselves are never copied (Run borrows the vectors for the
-  // whole call, so the spans stay valid).
-  auto produce = [this](const std::vector<StreamElement>& src,
-                        SpscRing<InputSpan>* ring,
-                        [[maybe_unused]] const char* name) {
-    TRACE_SET_THREAD_NAME(name);
-    for (size_t i = 0; i < src.size(); i += options_.batch_size) {
-      const size_t n = std::min(options_.batch_size, src.size() - i);
-      ring->PushBlocking(InputSpan{src.data() + i, n});
-    }
-    ring->Close();
-  };
-
-  std::thread producer_l(produce, std::cref(left), &in_left, "producer-l");
-  std::thread producer_r(produce, std::cref(right), &in_right, "producer-r");
   std::vector<std::thread> workers;
   workers.reserve(shards_.size());
   for (auto& shard : shards_) {
     workers.emplace_back(&ParallelJoinPipeline::ShardLoop, this, shard.get());
   }
 
-  RouterLoop(&in_left, &in_right);
+  RouterLoop(left, right);
 
   // Keep merging while the workers finish their tails (a worker could
   // otherwise park forever on a full output ring) — parked on the activity
@@ -588,8 +523,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
       out_activity_.wait(seq);
     }
   }
-  producer_l.join();
-  producer_r.join();
   for (std::thread& w : workers) w.join();
   DrainOutputs();
 

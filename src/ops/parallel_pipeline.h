@@ -3,15 +3,16 @@
 //
 // Topology (docs/PERFORMANCE.md):
 //
-//   producer L ─(ring)─┐           ┌─(ring)─> shard 0 ─(ring)─┐
-//                      ├─> router ─┼─(ring)─> shard 1 ─(ring)─┼─> merger
-//   producer R ─(ring)─┘           └─(ring)─> shard N-1 ──────┘  (caller)
+//   left  ─┐           ┌─(ring)─> shard 0 ─(ring)─┐
+//          ├─> router ─┼─(ring)─> shard 1 ─(ring)─┼─> merger
+//   right ─┘           └─(ring)─> shard N-1 ──────┘  (caller)
 //
-// Every edge is a bounded SpscRing (common/spsc_ring.h) of batches; no
-// mutex is taken anywhere on the data path. Two producer threads publish
-// read-only spans of the caller's input vectors (zero copy — elements are
-// never duplicated; shards borrow `const StreamElement*`s that outlive the
-// run). The router merges the two inputs in global arrival order, hashes
+// Every edge past the router is a bounded SpscRing (common/spsc_ring.h) of
+// batches; no mutex is taken anywhere on the data path. The router runs on
+// the caller's thread and reads the caller's input vectors in place (zero
+// copy — elements are never duplicated; shards borrow
+// `const StreamElement*`s that outlive the run). It merges the two inputs
+// in global arrival order (ties go to the left side), hashes
 // each tuple's join key once, and stages it — pointer, side, key hash — in
 // a columnar RoutedBatch for the shard the mixed hash selects. Shards feed
 // whole batches to JoinOperator::ProcessBatch, which reuses the router's
@@ -38,9 +39,7 @@
 // restricted to the shard's keys, because a shard holds a tuple iff it
 // owns the tuple's key, and every punctuation reaches the shards owning
 // the keys it covers. Per-shard FIFO delivery preserves the relative
-// order of a punctuation and the tuples it covers; optionally an epoch
-// barrier additionally drains all shards before dispatch resumes, making
-// every punctuation a global synchronization point. Stalls are
+// order of a punctuation and the tuples it covers. Stalls are
 // detected per shard (a dry shard runs its disk join / reactive stage,
 // exactly as the single-threaded consumer would, then parks until data or
 // close).
@@ -54,8 +53,8 @@
 // shard records a release only after the results it covers, so a released
 // punctuation never overtakes a result it covers (the §3.3 invariant).
 //
-// Blocking policy (deadlock-freedom on bounded rings): producers and
-// shards may park (their consumers always drain eventually); the
+// Blocking policy (deadlock-freedom on bounded rings): shards may park
+// (their consumer always drains eventually); the
 // router/merger thread NEVER parks — when a shard ring is full it drains
 // the output rings and yields, so the merge edge can always free the
 // dispatch edge.
@@ -87,20 +86,12 @@ namespace pjoin {
 struct ParallelPipelineOptions {
   /// Number of shard workers; 1 degenerates to router + one worker.
   int num_shards = 4;
-  /// Capacity of each input ring in elements (rounded to whole spans of
-  /// `batch_size`); producers park on a full ring. 0 = a large default.
-  size_t input_buffer_capacity = 8192;
   /// Capacity of each shard's routed ring in elements (rounded to whole
   /// batches); the router backpressures — drains outputs and yields,
   /// never parks — on a full ring. 0 = a large default.
   size_t shard_queue_capacity = 8192;
   /// Elements per RoutedBatch (router dispatch granularity).
   size_t batch_size = 256;
-  /// Broadcast punctuations behind an epoch barrier: the router waits until
-  /// every shard has drained its ring before dispatching anything newer.
-  /// FIFO delivery already preserves per-key punctuation order; the barrier
-  /// additionally makes punctuations global synchronization points.
-  bool punct_barrier = false;
   /// A dry shard reports a stall to its join (disk join / reactive stage)
   /// after this many consecutive empty polls, then parks until data/close.
   int64_t stall_polls = 4;
@@ -145,10 +136,13 @@ class ParallelJoinPipeline {
   void set_result_callback(ResultCallback cb) { on_result_ = std::move(cb); }
   void set_punct_callback(PunctCallback cb) { on_punct_ = std::move(cb); }
 
-  /// Runs producers, router and shard workers until both inputs are
-  /// exhausted and all shards have finished. Single-shot. The input
-  /// vectors are borrowed for the whole run (zero-copy transport) — they
-  /// must outlive the call, which the reference parameters guarantee.
+  /// Runs the router (on the calling thread) and `num_shards` worker
+  /// threads until both inputs have reached their end-of-stream marker and
+  /// all shards have finished. Single-shot. Returns InvalidArgument, before
+  /// any thread starts, when either input holds no end-of-stream marker.
+  /// The input vectors are borrowed for the whole run (zero-copy
+  /// transport) — they must outlive the call, which the reference
+  /// parameters guarantee.
   Status Run(const std::vector<StreamElement>& left,
              const std::vector<StreamElement>& right);
 
@@ -169,17 +163,8 @@ class ParallelJoinPipeline {
   /// Times a shard worker parked after spinning on an empty routed ring
   /// (also counter pjoin_shard_spin_parks).
   int64_t shard_spin_parks() const { return shard_spin_parks_.load(); }
-  /// Punctuation epoch barriers the router executed.
-  int64_t epoch_barriers() const { return epoch_barriers_; }
 
  private:
-  /// A contiguous read-only chunk of one caller input vector — the unit of
-  /// the producer→router rings.
-  struct InputSpan {
-    const StreamElement* data = nullptr;
-    size_t size = 0;
-  };
-
   /// Columnar routed batch — the unit of the router→shard rings. Parallel
   /// flat arrays (borrowed element pointers, input sides, router-computed
   /// key hashes) keep the shard's probe loop walking plain memory, and the
@@ -214,7 +199,11 @@ class ParallelJoinPipeline {
   // Per-shard context: the two rings, progress counters, staging buffers.
   struct Shard;
 
-  void RouterLoop(SpscRing<InputSpan>* in_left, SpscRing<InputSpan>* in_right);
+  /// Merges `left` and `right` in global arrival order up to both
+  /// end-of-stream markers, dispatching every element, then closes the
+  /// shard rings.
+  void RouterLoop(const std::vector<StreamElement>& left,
+                  const std::vector<StreamElement>& right);
   void ShardLoop(Shard* shard);
   /// Dispatches one element (tuple / punctuation / EOS) to the shards
   /// that own it.
@@ -224,9 +213,6 @@ class ParallelJoinPipeline {
   void Stage(int shard, int8_t side, const StreamElement* e,
              uint64_t key_hash, TimeMicros ingress_us, uint64_t flow_id = 0);
   void FlushStaged(int shard);
-  /// Waits until every shard has processed everything dispatched so far
-  /// (router thread; drains outputs while waiting).
-  void EpochBarrier();
   /// Drains all shard output rings into the user callbacks and the release
   /// board (router/caller thread only). Returns the number of OutBatches
   /// merged, so callers waiting on output can park when a sweep comes back
@@ -265,7 +251,6 @@ class ParallelJoinPipeline {
   int64_t results_emitted_ = 0;
   int64_t puncts_emitted_ = 0;
   int64_t stalls_reported_ = 0;
-  int64_t epoch_barriers_ = 0;
   /// Atomics (default ordering — plain counters, no publication protocol)
   /// so the live /statusz section can read them mid-run.
   std::atomic<int64_t> router_backpressure_waits_{0};

@@ -288,28 +288,6 @@ TEST(StaticShardingTest, StaticMappingIsStableAndInRange) {
   }
 }
 
-TEST(ParallelPJoinTest, EpochBarrierModeMatchesReference) {
-  Workload w = MakeWorkload("barrier", /*seed=*/404, /*punct_rate=*/10.0,
-                            /*zipf_s=*/0.0);
-  const JoinOptions jopts = SmallStateOptions();
-  auto ref_join =
-      std::make_unique<PJoin>(w.streams.schema_a, w.streams.schema_b, jopts);
-  const RunResult ref = RunJoin(ref_join.get(), w.streams.a, w.streams.b);
-
-  ParallelPipelineOptions popts;
-  popts.num_shards = 4;
-  popts.punct_barrier = true;
-  ParallelJoinPipeline* pipeline = nullptr;
-  const RunResult got =
-      RunParallel(Operator::kPJoin, w.streams.schema_a, w.streams.schema_b,
-                  jopts, w.streams.a, w.streams.b, popts, &pipeline);
-  EXPECT_EQ(got.results, ref.results);
-  // One barrier per broadcast punctuation.
-  EXPECT_EQ(pipeline->epoch_barriers(),
-            w.streams.NumPunctuations(w.streams.a) +
-                w.streams.NumPunctuations(w.streams.b));
-}
-
 TEST(ParallelPJoinTest, ShardStatsCoverAllRoutedElements) {
   Workload w = MakeWorkload("stats", /*seed=*/8, /*punct_rate=*/20.0,
                             /*zipf_s=*/0.0);
@@ -372,6 +350,42 @@ TEST(ParallelPJoinTest, ShardErrorIsRunOutcome) {
       [&](int) { return std::make_unique<PJoin>(sa, sb, jopts); }, popts);
   const Status st = pipeline.Run(left, right);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+}
+
+// The router consumes each input up to its end-of-stream marker, so an
+// input without one is rejected before any thread starts (rather than
+// leaving the router waiting for an end that never comes).
+TEST(ParallelPJoinTest, InputWithoutEndOfStreamIsRejected) {
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  ElementsBuilder left, right;
+  for (int64_t k = 0; k < 10; ++k) {
+    left.Tup(KP(sa, k % 3, k));
+    right.Tup(KP(sb, k % 3, k));
+  }
+  const std::vector<StreamElement> with_eos[2] = {left.Finish(),
+                                                  right.Finish()};
+  std::vector<StreamElement> without_eos[2] = {with_eos[0], with_eos[1]};
+  for (std::vector<StreamElement>& input : without_eos) input.pop_back();
+
+  for (int missing = 0; missing < 2; ++missing) {
+    ParallelPipelineOptions popts;
+    popts.num_shards = 2;
+    ParallelJoinPipeline pipeline(
+        [&](int) {
+          return std::make_unique<PJoin>(sa, sb, SmallStateOptions());
+        },
+        popts);
+    int64_t results = 0;
+    pipeline.set_result_callback([&results](const Tuple&) { ++results; });
+    const Status st =
+        pipeline.Run(missing == 0 ? without_eos[0] : with_eos[0],
+                     missing == 1 ? without_eos[1] : with_eos[1]);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "side " << missing << ": " << st.ToString();
+    EXPECT_EQ(results, 0);
+    EXPECT_TRUE(pipeline.shard_stats().empty());
+  }
 }
 
 // A failed shard keeps consuming (and discarding) its routed input. Each
@@ -439,7 +453,6 @@ TEST(ParallelPJoinTest, TinyRingsApplyBackpressure) {
   ParallelPipelineOptions popts;
   popts.num_shards = 2;
   popts.batch_size = 4;
-  popts.input_buffer_capacity = 8;
   popts.shard_queue_capacity = 8;
   popts.out_ring_batches = 1;
   ParallelJoinPipeline pipeline(
